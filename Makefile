@@ -46,13 +46,12 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # Engine scaling smoke: pkts/sec at 1/2/4/8 shards, the streaming session
-# Feed path, parallel dispatch at 1/2/4 feeders, the flow-table ageing
-# sweep stripe, the timer-wheel advance hot path, the sweep-vs-wheel
-# expiry churn trajectory, the high-load-factor direct-vs-cuckoo
-# trajectory, and the flow-table store micro-benchmarks (lookup/insert
-# per scheme).
+# Feed path, parallel dispatch at 1/2/4 feeders, the timer-wheel advance
+# hot path, the expiry churn trajectory, the high-load-factor
+# direct-vs-cuckoo trajectory, and the flow-table store micro-benchmarks
+# (lookup/insert per scheme).
 bench-engine:
-	$(GO) test -run xxx -bench 'EngineShards|EngineRecorder|SessionFeed|ParallelFeed|Sweep|EngineHighLoad|WheelAdvance|EngineChurn' -benchtime 1x .
+	$(GO) test -run xxx -bench 'EngineShards|EngineRecorder|SessionFeed|ParallelFeed|EngineHighLoad|WheelAdvance|EngineChurn' -benchtime 1x .
 	$(GO) test -run xxx -bench FlowTable -benchtime 1000x ./internal/flowtable
 	$(GO) test -run xxx -bench 'ChurnNext|WireNext|HarnessSteady' -benchtime 100000x ./internal/loadgen
 
@@ -64,7 +63,7 @@ bench-engine:
 # flow-table micro-benchmarks append with an iteration-count benchtime of
 # their own (2 iterations would be noise at nanosecond scale).
 bench-json:
-	$(GO) test -run xxx -bench 'EngineShards|EngineRecorder|SessionFeed|ParallelFeed|Sweep|EngineHighLoad|WheelAdvance|EngineChurn' \
+	$(GO) test -run xxx -bench 'EngineShards|EngineRecorder|SessionFeed|ParallelFeed|EngineHighLoad|WheelAdvance|EngineChurn' \
 		-benchtime 2x -count 3 . > BENCH_engine.json
 	$(GO) test -run xxx -bench FlowTable -benchtime 50000x -count 3 \
 		./internal/flowtable >> BENCH_engine.json

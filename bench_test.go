@@ -479,39 +479,8 @@ func benchmarkEngineHighLoad(b *testing.B, scheme dataplane.TableScheme) {
 func BenchmarkEngineHighLoadDirect(b *testing.B) { benchmarkEngineHighLoad(b, dataplane.TableDirect) }
 func BenchmarkEngineHighLoadCuckoo(b *testing.B) { benchmarkEngineHighLoad(b, dataplane.TableCuckoo) }
 
-// BenchmarkSweep measures one flow-table ageing sweep call — the bounded
-// stripe walk a shard worker pays per burst. The array is populated with
-// parked-dead flow state first, so the measured path covers both the scan
-// and the reclaim; it must stay allocation-free.
-func BenchmarkSweep(b *testing.B) {
-	cfg, pkts := engineBenchFixture(b)
-	cfg.FlowSlots = 1 << 16
-	cfg.IdleTimeout = time.Millisecond
-	cfg.SweepStripe = 128
-	pl, err := dataplane.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range pkts {
-		pl.Process(p)
-	}
-	occupied := pl.ActiveFlows()
-	now := pl.Clock() + time.Second // everything idle past the timeout
-	b.ReportAllocs()
-	b.ResetTimer()
-	evicted := 0
-	for i := 0; i < b.N; i++ {
-		evicted += pl.Sweep(now)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(cfg.SweepStripe), "slots/op")
-	if b.N >= (cfg.FlowSlots+cfg.SweepStripe-1)/cfg.SweepStripe && evicted < occupied {
-		b.Fatalf("full sweep coverage reclaimed %d of %d occupied slots", evicted, occupied)
-	}
-}
-
 // BenchmarkWheelAdvance measures the timer-wheel hot path a shard worker
-// pays under wheel expiry: re-arming a working set of timers and advancing
+// pays with ageing on: re-arming a working set of timers and advancing
 // the wheel across their deadlines. Every op schedules 1024 timers over a
 // 512-tick window and advances through it, so the measured cost covers
 // placement, cascading, and firing; the whole path must stay
@@ -548,8 +517,7 @@ var engineChurnState struct {
 // benchmark model over a heavy-tailed workload (30% keepalive flows with
 // 0.6–2s gaps) on a cuckoo table squeezed to 4Ki cells, with a 100ms idle
 // timeout. Keepalives hold entries across long gaps while chatty flows
-// churn through, so the expiry engine — striped sweep or timer wheel — is
-// continuously reclaiming under load.
+// churn through, so the expiry wheel is continuously reclaiming under load.
 func engineChurnFixture(b *testing.B) (dataplane.Config, []pkt.Packet) {
 	cfg, _ := engineBenchFixture(b)
 	st := &engineChurnState
@@ -560,18 +528,14 @@ func engineChurnFixture(b *testing.B) (dataplane.Config, []pkt.Packet) {
 	cfg.FlowSlots = 1 << 12
 	cfg.Table = dataplane.TableCuckoo
 	cfg.IdleTimeout = 100 * time.Millisecond
-	cfg.SweepStripe = 1 << 12 // full pass per burst: match the wheel's exact reclaim
 	return cfg, st.pkts
 }
 
-// benchmarkEngineChurn measures end-to-end engine throughput with flow-table
-// churn under the given expiry scheme, reporting pkts/s and the reclaim
-// volume. The two trajectories must stay within a few percent of each
-// other: the wheel's O(expired) advances buy exact per-entry deadlines
-// without costing burst throughput against the amortised striped sweep.
-func benchmarkEngineChurn(b *testing.B, expiry dataplane.ExpiryScheme) {
+// BenchmarkEngineChurnWheel measures end-to-end engine throughput with
+// flow-table churn under timer-wheel expiry, reporting pkts/s and the
+// reclaim volume.
+func BenchmarkEngineChurnWheel(b *testing.B) {
 	cfg, pkts := engineChurnFixture(b)
-	cfg.Expiry = expiry
 	e, err := engine.New(engine.Config{Deploy: cfg, Shards: 4})
 	if err != nil {
 		b.Fatal(err)
@@ -592,9 +556,6 @@ func benchmarkEngineChurn(b *testing.B, expiry dataplane.ExpiryScheme) {
 	b.ReportMetric(rate/float64(b.N), "pkts/s")
 	b.ReportMetric(evictions/float64(b.N), "evictions/op")
 }
-
-func BenchmarkEngineChurnSweep(b *testing.B) { benchmarkEngineChurn(b, dataplane.ExpirySweep) }
-func BenchmarkEngineChurnWheel(b *testing.B) { benchmarkEngineChurn(b, dataplane.ExpiryWheel) }
 
 // BenchmarkSessionFeed measures the streaming path end to end — Start, a
 // Feed loop spinning through backpressure, Close — over the same workload

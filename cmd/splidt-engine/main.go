@@ -13,11 +13,11 @@
 // periodic snapshots show flows being dropped while traffic is still
 // flowing. -waves replays the workload through the same session, modelling
 // repeat offenders hitting an already-populated blocklist. -idle-timeout
-// arms flow-table ageing: per-shard sweeps driven by packet time reclaim
-// register slots of flows that went quiet (blocked early-exited flows
-// included), keeping ActiveFlows bounded over multi-wave runs. -expiry wheel
-// swaps the striped sweep for the hierarchical timer wheel with per-class
-// adaptive lifetimes (trained from each leaf's IAT statistics;
+// arms flow-table ageing: per-shard timer wheels driven by packet time
+// reclaim register slots of flows that went quiet (blocked early-exited
+// flows included), keeping ActiveFlows bounded over multi-wave runs. Each
+// flow idles out on its per-class adaptive lifetime, trained from each
+// leaf's IAT statistics (-idle-timeout is the base lifetime;
 // -lifetime-class pins specific classes by policy).
 //
 // -record <file> instead dumps the generated workload as a wire-format
@@ -29,7 +29,7 @@
 //	splidt-engine -dataset 3 -flows 2000 -shards 8 -burst 32
 //	splidt-engine -dataset 3 -flows 2000 -shards 4 -feeders 4
 //	splidt-engine -dataset 3 -flows 2000 -live -block 0,1,2 -waves 2 -idle-timeout 20ms
-//	splidt-engine -dataset 3 -flows 2000 -expiry wheel -idle-timeout 100ms -lifetime-class 3=5s
+//	splidt-engine -dataset 3 -flows 2000 -idle-timeout 100ms -lifetime-class 3=5s
 //	splidt-engine -dataset 3 -flows 5000 -record ws.splt
 package main
 
@@ -68,9 +68,7 @@ func main() {
 		table      = flag.String("table", "direct", "flow-table scheme: direct (hash-indexed slots, collisions couple flows), cuckoo (d-way associative + stash, verified exact), or oracle (unbounded map, testing only)")
 		ways       = flag.Int("ways", splidt.DefaultTableWays, "cuckoo bucket associativity (-table cuckoo)")
 		stash      = flag.Int("stash", splidt.DefaultTableStash, "cuckoo overflow stash entries (-table cuckoo; 0 = library default, negative = no stash)")
-		idleTO     = flag.Duration("idle-timeout", 0, "flow-table ageing idle timeout in packet time (0 = off)")
-		stripe     = flag.Int("sweep-stripe", 0, "register slots examined per ageing sweep (0 = default)")
-		expiry     = flag.String("expiry", "sweep", "flow-expiry mechanism: sweep (striped scan, global -idle-timeout) or wheel (hierarchical timer wheel, per-class lifetimes trained from leaf IAT statistics; requires -idle-timeout)")
+		idleTO     = flag.Duration("idle-timeout", 0, "flow-table ageing: base idle lifetime in packet time, refined per class from leaf IAT statistics (0 = off)")
 		ltClass    = flag.String("lifetime-class", "", "comma-separated class=duration lifetime overrides, e.g. 3=5s,7=250ms (pins those classes' leaf lifetimes instead of deriving them)")
 		spacingUS  = flag.Int("spacing-us", 200, "flow start spacing (µs)")
 		record     = flag.String("record", "", "write the generated workload as a wire-format record file and exit (replay with splidt-loadgen -wire)")
@@ -88,13 +86,6 @@ func main() {
 	scheme, err := splidt.ParseTableScheme(*table)
 	if err != nil {
 		usageError("-table: %v", err)
-	}
-	expiryScheme, err := splidt.ParseExpiryScheme(*expiry)
-	if err != nil {
-		usageError("-expiry: %v", err)
-	}
-	if expiryScheme == splidt.ExpiryWheel && *idleTO <= 0 {
-		usageError("-expiry wheel needs -idle-timeout > 0 (the base flow lifetime)")
 	}
 	classLifetimes := parseClassLifetimes(*ltClass)
 	if *shards < 0 {
@@ -131,10 +122,10 @@ func main() {
 	train, _ := splidt.Split(samples, 0.7)
 	trainCfg := splidt.Config{
 		Partitions: parts, FeaturesPerSubtree: *k, NumClasses: classes,
-		// Wheel expiry runs on per-class adaptive lifetimes: derive them
-		// from the training samples' per-leaf IAT statistics, with
-		// -lifetime-class pinning specific classes by policy.
-		Lifetimes:      expiryScheme == splidt.ExpiryWheel,
+		// Ageing runs on per-class adaptive lifetimes: derive them from the
+		// training samples' per-leaf IAT statistics, with -lifetime-class
+		// pinning specific classes by policy.
+		Lifetimes:      *idleTO > 0,
 		ClassLifetimes: classLifetimes,
 	}
 	m, err := splidt.Train(train, trainCfg)
@@ -165,8 +156,7 @@ func main() {
 			Profile: splidt.Tofino1(), Model: m, Compiled: c,
 			FlowSlots: *slots, Workload: splidt.Webserver,
 			Table: scheme, Ways: *ways, Stash: *stash,
-			IdleTimeout: *idleTO, SweepStripe: *stripe,
-			Expiry: expiryScheme,
+			IdleTimeout: *idleTO,
 		},
 		Shards: *shards, Burst: *burst, Queue: *queue,
 	})
@@ -196,12 +186,8 @@ func main() {
 		fmt.Printf("flow table     %s\n", scheme)
 	}
 	if *idleTO > 0 {
-		if expiryScheme == splidt.ExpiryWheel {
-			fmt.Printf("ageing         timer wheel, per-class lifetimes (base %v, max leaf %v), driven by packet time\n",
-				*idleTO, c.MaxLifetime())
-		} else {
-			fmt.Printf("ageing         idle-timeout %v, per-shard sweeps driven by packet time\n", *idleTO)
-		}
+		fmt.Printf("ageing         timer wheel, per-class lifetimes (base %v, max leaf %v), driven by packet time\n",
+			*idleTO, c.MaxLifetime())
 	}
 
 	spacing := time.Duration(*spacingUS) * time.Microsecond
@@ -359,7 +345,7 @@ func runLive(eng *splidt.Engine, tsrv *splidt.TelemetryServer, id splidt.Dataset
 		src := splidt.NewStream(id, nFlows, seed, spacing)
 		// Each wave replays the trace shifted past the previous wave's last
 		// packet: repeat offenders arrive later in packet time, which keeps
-		// the ageing sweeps advancing instead of freezing at wave-1's end.
+		// the expiry wheels advancing instead of freezing at wave-1's end.
 		shifted := &splidt.ShiftSource{Src: src, Offset: wave0}
 		if err := sess.FeedSource(shifted); err != nil {
 			log.Fatal(err)
@@ -367,7 +353,7 @@ func runLive(eng *splidt.Engine, tsrv *splidt.TelemetryServer, id splidt.Dataset
 		wave0 = shifted.Max()
 		labels = src.Labels()
 		// Per-wave flow-table occupancy: with ageing on, leaked slots of
-		// blocked early-exited flows are reclaimed by the sweeps, so
+		// blocked early-exited flows are reclaimed by expiry, so
 		// ActiveFlows stays bounded wave over wave instead of ratcheting
 		// up. Quiesce first — FeedSource only hands packets to the rings,
 		// and a mid-drain sample would show arbitrary peak occupancy.

@@ -64,8 +64,7 @@ func main() {
 		table      = flag.String("table", "cuckoo", "flow-table scheme: cuckoo (associative, the churn-regime default), direct, or oracle")
 		burst      = flag.Int("burst", 32, "packets per burst")
 		queue      = flag.Int("queue", 8, "per-shard queue depth in bursts")
-		idleTO     = flag.Duration("idle-timeout", 0, "flow-table ageing idle timeout in packet (virtual) time (0 = off)")
-		expiry     = flag.String("expiry", "sweep", "flow-expiry mechanism: sweep or wheel (requires -idle-timeout)")
+		idleTO     = flag.Duration("idle-timeout", 0, "flow-table ageing: base idle lifetime in packet (virtual) time, refined per class from leaf IAT statistics (0 = off)")
 
 		flows     = flag.Int("flows", 100_000, "concurrent flow population (total across feeders)")
 		feeders   = flag.Int("feeders", 2, "parallel producer goroutines, each with a private feeder and a disjoint slice of the population")
@@ -85,13 +84,6 @@ func main() {
 	scheme, err := splidt.ParseTableScheme(*table)
 	if err != nil {
 		usageError("-table: %v", err)
-	}
-	expiryScheme, err := splidt.ParseExpiryScheme(*expiry)
-	if err != nil {
-		usageError("-expiry: %v", err)
-	}
-	if expiryScheme == splidt.ExpiryWheel && *idleTO <= 0 {
-		usageError("-expiry wheel needs -idle-timeout > 0 (the base flow lifetime)")
 	}
 	phases, err := parsePhases(*phasesArg)
 	if err != nil {
@@ -116,7 +108,7 @@ func main() {
 	train, _ := splidt.Split(samples, 0.7)
 	m, err := splidt.Train(train, splidt.Config{
 		Partitions: parts, FeaturesPerSubtree: *k, NumClasses: splidt.NumClasses(id),
-		Lifetimes: expiryScheme == splidt.ExpiryWheel,
+		Lifetimes: *idleTO > 0,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -129,7 +121,7 @@ func main() {
 		Deploy: splidt.DeployConfig{
 			Profile: splidt.Tofino1(), Model: m, Compiled: c,
 			FlowSlots: *slots, Workload: splidt.Webserver,
-			Table: scheme, IdleTimeout: *idleTO, Expiry: expiryScheme,
+			Table: scheme, IdleTimeout: *idleTO,
 		},
 		Shards: *shards, Burst: *burst, Queue: *queue,
 	})
@@ -146,7 +138,7 @@ func main() {
 		train, _ := splidt.Split(splidt.BuildSamples(tf, len(parts)), 0.7)
 		m2, err := splidt.Train(train, splidt.Config{
 			Partitions: parts, FeaturesPerSubtree: *k, NumClasses: splidt.NumClasses(id),
-			Lifetimes: expiryScheme == splidt.ExpiryWheel,
+			Lifetimes: *idleTO > 0,
 		})
 		if err != nil {
 			return nil, nil, err

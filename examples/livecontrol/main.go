@@ -15,10 +15,10 @@
 // dispatcher drops the flow's tail, so the parked slot never saw the
 // flow-end packet that frees it, and over waves the flow table filled with
 // dead entries. Flow-table ageing closes the leak: Block evicts the slot
-// immediately, and an idle-timeout sweep (IdleTimeout/SweepStripe in the
-// deploy config, driven by packet time on each shard worker) reclaims
-// anything that goes quiet — watch ActiveFlows stay bounded wave over wave
-// and Stats.Evictions count the reclaims.
+// immediately, and idle expiry (IdleTimeout in the deploy config: a timer
+// wheel driven by packet time on each shard worker) reclaims anything that
+// goes quiet — watch ActiveFlows stay bounded wave over wave and
+// Stats.Evictions count the reclaims.
 package main
 
 import (
@@ -61,12 +61,9 @@ func main() {
 			FlowSlots: 1 << 16, Workload: splidt.Webserver,
 			// Flow-table ageing: slots idle for 5s of packet time are
 			// reclaimed. The timeout must exceed the workload's worst
-			// intra-flow packet gap (~2.5s here) or the sweep evicts live
-			// flows mid-conversation and resets their feature state; 2048
-			// slots swept per burst so the wave-2 traffic (mostly dropped
-			// at the dispatcher, hence few bursts) still covers each
-			// shard's array.
-			IdleTimeout: 5 * time.Second, SweepStripe: 2048,
+			// intra-flow packet gap (~2.5s here) or expiry evicts live
+			// flows mid-conversation and resets their feature state.
+			IdleTimeout: 5 * time.Second,
 		},
 		Shards: 4,
 	})
@@ -143,7 +140,7 @@ func main() {
 
 // feedWave streams one workload wave into the session, shifted to start at
 // packet time `from` — wave 2 replays the same trace later in packet time,
-// as real repeat offenders would, which also keeps the ageing sweeps'
+// as real repeat offenders would, which also keeps the expiry wheels'
 // packet-time clock advancing. FeedSource stages chunks and retries
 // through backpressure for us; a load-shedding producer would call Feed
 // directly and act on ErrBackpressure instead. Returns the wave's last

@@ -59,7 +59,7 @@ func concat(lists ...[]string) []string {
 
 // deployPipeline builds a small end-to-end deployment (the quickstart path)
 // shared by the dataplane probes.
-func deployPipeline(t *testing.T, scheme dataplane.TableScheme, expiry dataplane.ExpiryScheme) (*dataplane.Pipeline, []trace.LabeledFlow) {
+func deployPipeline(t *testing.T, scheme dataplane.TableScheme) (*dataplane.Pipeline, []trace.LabeledFlow) {
 	t.Helper()
 	flows := splidt.Generate(splidt.D2, 300, 1)
 	samples := splidt.BuildSamples(flows, 2)
@@ -83,8 +83,6 @@ func deployPipeline(t *testing.T, scheme dataplane.TableScheme, expiry dataplane
 		Table:       scheme,
 		Workload:    splidt.Webserver,
 		IdleTimeout: time.Minute,
-		SweepStripe: 64,
-		Expiry:      expiry,
 	})
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
@@ -257,8 +255,8 @@ func allocProbes() []allocProbe {
 			name: "timerwheel",
 			covers: ids("timerwheel",
 				"Node.Armed", "Node.Relink", "Node.Unlink",
-				"Wheel.Advance", "Wheel.Schedule", "Wheel.cascade", "Wheel.fire",
-				"Wheel.place", "Wheel.slot"),
+				"Wheel.Advance", "Wheel.Schedule", "Wheel.place", "Wheel.slot",
+				"Wheel.visit"),
 			setup: func(t *testing.T) func() {
 				type item struct {
 					id    int
@@ -275,10 +273,14 @@ func allocProbes() []allocProbe {
 					for i := range items {
 						w.Schedule(&items[i].timer, now+time.Duration(5+i)*time.Millisecond)
 					}
-					// Re-arm half (Schedule's internal unlink) and disarm one
+					// Re-arm half later (the lazy path), a quarter earlier
+					// (Schedule's internal unlink and relink), and disarm one
 					// explicitly (the store-reclaim Unlink path).
 					for i := 0; i < len(items)/2; i++ {
 						w.Schedule(&items[i].timer, now+time.Duration(70+i)*time.Millisecond)
+					}
+					for i := 0; i < len(items)/4; i++ {
+						w.Schedule(&items[i].timer, now+time.Duration(1+i)*time.Millisecond)
 					}
 					items[2].timer.Unlink()
 					// Relocate items[0] into the (unarmed) spare slot — the
@@ -292,8 +294,9 @@ func allocProbes() []allocProbe {
 					if !spare.timer.Armed() {
 						t.Fatal("relocated node must stay armed")
 					}
-					// A long advance crosses level-0 laps, forcing cascades,
-					// and fires everything so the next run starts unarmed.
+					// A long advance crosses level-0 laps, forcing cascades
+					// and lazy re-files, and fires everything so the next run
+					// starts unarmed.
 					now += 3 * time.Second
 					w.Advance(now)
 				}
@@ -303,18 +306,18 @@ func allocProbes() []allocProbe {
 			name: "flowtable-direct",
 			covers: concat(
 				ids("flowtable",
-					"Direct.Acquire", "Direct.Release", "Direct.Evict", "Direct.Sweep", "Direct.slotOf",
+					"Direct.Acquire", "Direct.Release", "Direct.Evict", "Direct.slotOf",
 					"Entry.Timer", "Entry.free"),
 				// The Store interface annotations are the contract these
 				// probes (and the cuckoo ones) exercise through the interface.
-				ids("flowtable", "Store.Acquire", "Store.Release", "Store.Evict", "Store.Sweep"),
+				ids("flowtable", "Store.Acquire", "Store.Release", "Store.Evict"),
 			),
 			setup: func(t *testing.T) func() { return storeProbe(t, flowtable.NewDirect(256)) },
 		},
 		{
 			name: "flowtable-cuckoo",
 			covers: ids("flowtable",
-				"Cuckoo.Acquire", "Cuckoo.Release", "Cuckoo.Evict", "Cuckoo.Sweep",
+				"Cuckoo.Acquire", "Cuckoo.Release", "Cuckoo.Evict",
 				"Cuckoo.altBucket", "Cuckoo.bucketPair", "Cuckoo.freeWay", "Cuckoo.inStash",
 				"Cuckoo.insert", "Cuckoo.lookup", "Cuckoo.searchAndKick"),
 			setup: func(t *testing.T) func() {
@@ -325,7 +328,7 @@ func allocProbes() []allocProbe {
 			name:   "dataplane-sweep-pipeline",
 			covers: ids("dataplane", "Pipeline.Process", "Pipeline.Sweep", "Pipeline.windowEnd"),
 			setup: func(t *testing.T) func() {
-				pl, flows := deployPipeline(t, dataplane.TableCuckoo, dataplane.ExpirySweep)
+				pl, flows := deployPipeline(t, dataplane.TableCuckoo)
 				mid := midFlowPacket(t, flows)
 				pl.Process(mid)
 				return func() {
@@ -338,7 +341,7 @@ func allocProbes() []allocProbe {
 			name:   "dataplane-wheel-expiry",
 			covers: ids("dataplane", "Pipeline.expire"),
 			setup: func(t *testing.T) func() {
-				pl, flows := deployPipeline(t, dataplane.TableCuckoo, dataplane.ExpiryWheel)
+				pl, flows := deployPipeline(t, dataplane.TableCuckoo)
 				mid := midFlowPacket(t, flows)
 				pl.Process(mid)
 				now := pl.Clock()
@@ -474,8 +477,8 @@ func allocProbes() []allocProbe {
 }
 
 // storeProbe exercises one flow-table scheme through the Store interface:
-// resident Acquire, Evict/re-Acquire churn, Release, entry timer access,
-// and a sweep stripe. Half occupancy first, so cuckoo insertions displace.
+// resident Acquire, Evict/re-Acquire churn, Release, and entry timer
+// access. Half occupancy first, so cuckoo insertions displace.
 func storeProbe(t *testing.T, s flowtable.Store) func() {
 	t.Helper()
 	key := func(i int) flow.Key {
@@ -507,7 +510,6 @@ func storeProbe(t *testing.T, s flowtable.Store) func() {
 		if e3, st := s.Acquire(k); st == flowtable.StatusFresh {
 			e3.SID = 1
 		}
-		s.Sweep(time.Hour, time.Minute, 64)
 	}
 }
 

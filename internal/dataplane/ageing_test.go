@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"splidt/internal/core"
+	"splidt/internal/flowtable"
+	"splidt/internal/timerwheel"
 	"splidt/internal/trace"
 )
 
@@ -35,34 +37,23 @@ func findEarlyExit(t *testing.T, cfg Config, flows []trace.LabeledFlow) trace.La
 
 // ageingDeploy builds a deployment for the ageing tests plus its held-out
 // flows.
-func ageingDeploy(t *testing.T, slots int, idle time.Duration, stripe int) (Config, []trace.LabeledFlow) {
+func ageingDeploy(t *testing.T, slots int, idle time.Duration) (Config, []trace.LabeledFlow) {
 	t.Helper()
 	cfg := core.Config{Partitions: []int{2, 2}, FeaturesPerSubtree: 3, NumClasses: 4}
 	pl, _, testFlows := deploy(t, trace.D2, 300, cfg, slots)
 	dcfg := pl.cfg
 	dcfg.IdleTimeout = idle
-	dcfg.SweepStripe = stripe
 	return dcfg, testFlows
-}
-
-// sweepFullPass runs enough Sweep calls to cover the whole register array
-// once, returning the total evicted.
-func sweepFullPass(pl *Pipeline, now time.Duration) int {
-	evicted := 0
-	calls := (pl.TableCap() + pl.cfg.SweepStripe - 1) / pl.cfg.SweepStripe
-	for i := 0; i < calls; i++ {
-		evicted += pl.Sweep(now)
-	}
-	return evicted
 }
 
 // TestSweepReclaimsIdleAndParked is the core ageing property: a live slot
 // whose flow went quiet and a parked early-exit slot whose tail never
 // arrived (the blocked-flow leak) are both reclaimed once idle for the
-// timeout, and not a packet-time earlier.
+// timeout — not a packet-time earlier, and no later than one wheel tick
+// after.
 func TestSweepReclaimsIdleAndParked(t *testing.T) {
 	const idle = 30 * time.Second // longer than any intra-workload gap
-	dcfg, testFlows := ageingDeploy(t, 1<<12, idle, 64)
+	dcfg, testFlows := ageingDeploy(t, 1<<12, idle)
 
 	early := findEarlyExit(t, dcfg, testFlows)
 	pl, err := New(dcfg)
@@ -76,6 +67,7 @@ func TestSweepReclaimsIdleAndParked(t *testing.T) {
 	for _, p := range early.Packets[:len(early.Packets)-1] {
 		pl.Process(p)
 	}
+	parkClock := pl.Clock()
 	// A live-idle slot: another flow's first packet only.
 	var other trace.LabeledFlow
 	for _, f := range testFlows {
@@ -85,20 +77,22 @@ func TestSweepReclaimsIdleAndParked(t *testing.T) {
 		}
 	}
 	pl.Process(other.Packets[0])
+	liveClock := pl.Clock() // >= parkClock: the clock is monotone
 	if pl.ActiveFlows() != 2 {
 		t.Fatalf("ActiveFlows = %d, want 2 (parked + live-idle)", pl.ActiveFlows())
 	}
 
-	// At the current packet clock nothing has been idle for the timeout.
-	if got := sweepFullPass(pl, pl.Clock()); got != 0 {
-		t.Fatalf("sweep at current clock evicted %d slots, want 0", got)
+	// Up to the instant the first slot has been idle for the timeout,
+	// nothing is reclaimed.
+	if got := pl.Sweep(pl.Clock()) + pl.Sweep(parkClock+idle-1); got != 0 {
+		t.Fatalf("sweep before the timeout evicted %d slots, want 0", got)
 	}
 	if pl.ActiveFlows() != 2 || pl.Stats().Evictions != 0 {
 		t.Fatalf("premature eviction: active=%d evictions=%d", pl.ActiveFlows(), pl.Stats().Evictions)
 	}
 
-	// One timeout later both slots are reclaimable.
-	if got := sweepFullPass(pl, pl.Clock()+idle); got != 2 {
+	// One wheel tick past the later slot's timeout, both are reclaimed.
+	if got := pl.Sweep(liveClock + idle + timerwheel.DefaultTick); got != 2 {
 		t.Fatalf("sweep after timeout evicted %d slots, want 2", got)
 	}
 	if pl.ActiveFlows() != 0 {
@@ -120,33 +114,36 @@ func TestSweepReclaimsIdleAndParked(t *testing.T) {
 }
 
 // TestSweepDisabled pins that IdleTimeout zero keeps the pre-ageing
-// behaviour: Sweep is a no-op regardless of how stale the slots are.
+// behaviour: no wheel is built, no entry is armed, and Sweep is a no-op
+// regardless of how stale the slots are.
 func TestSweepDisabled(t *testing.T) {
-	dcfg, testFlows := ageingDeploy(t, 1<<12, 0, 64)
+	dcfg, testFlows := ageingDeploy(t, 1<<12, 0)
 	pl, err := New(dcfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	if pl.wheel != nil {
+		t.Fatal("timer wheel built with ageing off")
+	}
 	pl.Process(testFlows[0].Packets[0])
-	if got := sweepFullPass(pl, pl.Clock()+time.Hour); got != 0 {
-		t.Fatalf("disabled sweep evicted %d slots", got)
+	if pl.Sweep(pl.Clock()+time.Hour) != 0 {
+		t.Fatal("disabled sweep evicted slots")
 	}
 	if pl.ActiveFlows() != 1 || pl.Stats().Evictions != 0 {
 		t.Fatalf("disabled ageing mutated state: active=%d evictions=%d", pl.ActiveFlows(), pl.Stats().Evictions)
 	}
-	if !(&Pipeline{cfg: Config{IdleTimeout: time.Second}}).AgeingEnabled() {
-		t.Fatal("AgeingEnabled false with a timeout set")
-	}
-	if pl.AgeingEnabled() {
-		t.Fatal("AgeingEnabled true with timeout zero")
-	}
+	pl.table.Walk(func(e *flowtable.Entry) {
+		if e.Timer().Armed() || e.Lifetime != 0 {
+			t.Fatal("entry armed with ageing off")
+		}
+	})
 }
 
 // TestEvictExplicit covers the controller-initiated reclaim path: the
 // owner's eviction frees the slot (ageing disabled included), a colliding
 // non-owner's does not, and eviction is idempotent.
 func TestEvictExplicit(t *testing.T) {
-	dcfg, testFlows := ageingDeploy(t, 1<<12, 0, 64)
+	dcfg, testFlows := ageingDeploy(t, 1<<12, 0)
 	dcfg.FlowSlots = 1 // force both flows onto one slot
 	pl, err := New(dcfg)
 	if err != nil {
@@ -185,7 +182,7 @@ func TestEvictExplicit(t *testing.T) {
 // the owner's flow-end packet frees the slot, after which the colliding
 // flow gets service again.
 func TestParkedSlotCollisionAccounting(t *testing.T) {
-	dcfg, testFlows := ageingDeploy(t, 1<<12, 0, 64)
+	dcfg, testFlows := ageingDeploy(t, 1<<12, 0)
 	early := findEarlyExit(t, dcfg, testFlows)
 	dcfg.FlowSlots = 1
 	pl, err := New(dcfg)
@@ -241,13 +238,13 @@ func TestParkedSlotCollisionAccounting(t *testing.T) {
 }
 
 // TestSweepReclaimsParkedUnderCollisions pins that collider packets do not
-// refresh a parked-dead slot's age: the owner is gone (tail dropped), the
-// collider's packets are swallowed, and the sweep must still be able to
-// free the slot so the collider finally gets service — idle is measured
-// from the owner's last packet, not the collider's.
+// re-arm a parked-dead slot's deadline: the owner is gone (tail dropped),
+// the collider's packets are swallowed, and expiry must still free the
+// slot so the collider finally gets service — idle is measured from the
+// owner's last packet, not the collider's.
 func TestSweepReclaimsParkedUnderCollisions(t *testing.T) {
 	const idle = 2 * time.Second
-	dcfg, testFlows := ageingDeploy(t, 1<<12, idle, 64)
+	dcfg, testFlows := ageingDeploy(t, 1<<12, idle)
 	early := findEarlyExit(t, dcfg, testFlows)
 	dcfg.FlowSlots = 1
 	pl, err := New(dcfg)
@@ -273,10 +270,15 @@ func TestSweepReclaimsParkedUnderCollisions(t *testing.T) {
 	collide.TS = parkClock + time.Second
 	pl.Process(collide)
 
-	// Two seconds after the owner's last packet — but only one second after
-	// the collider's — the slot is idle for the timeout and must go. Had
-	// the collider refreshed the stamp, this sweep would free nothing.
-	if got := sweepFullPass(pl, parkClock+idle); got != 1 {
+	// Not before the owner's timeout...
+	if got := pl.Sweep(parkClock + idle - 1); got != 0 {
+		t.Fatalf("sweep before the timeout evicted %d slots, want 0", got)
+	}
+	// ...but within a wheel tick of two seconds after the owner's last
+	// packet — only one second after the collider's — the slot is idle for
+	// the timeout and must go. Had the collider re-armed the deadline, this
+	// sweep would free nothing.
+	if got := pl.Sweep(parkClock + idle + timerwheel.DefaultTick); got != 1 {
 		t.Fatalf("sweep evicted %d slots, want 1 (collider kept the dead parked slot alive)", got)
 	}
 	if pl.ActiveFlows() != 0 {
@@ -284,7 +286,7 @@ func TestSweepReclaimsParkedUnderCollisions(t *testing.T) {
 	}
 	// The collider finally gets the slot.
 	next := g.Packets[1]
-	next.TS = parkClock + idle
+	next.TS = parkClock + idle + timerwheel.DefaultTick
 	pl.Process(next)
 	if pl.ActiveFlows() != 1 || pl.countActiveSlots() != 1 {
 		t.Fatal("collider not served after the dead parked slot was reclaimed")
@@ -295,7 +297,7 @@ func TestSweepReclaimsParkedUnderCollisions(t *testing.T) {
 // not divide evenly by the shard count must still be fully distributed
 // (first shards take the remainder), not silently truncated.
 func TestNewShardsRemainder(t *testing.T) {
-	dcfg, _ := ageingDeploy(t, 1000, 0, 0)
+	dcfg, _ := ageingDeploy(t, 1000, 0)
 	cases := []struct {
 		slots, n int
 		want     []int

@@ -116,7 +116,7 @@ func TestTableSchemeValidation(t *testing.T) {
 		t.Fatal("unknown scheme accepted")
 	}
 
-	dcfg, _ := ageingDeploy(t, 1000, 0, 0)
+	dcfg, _ := ageingDeploy(t, 1000, 0)
 	bad := dcfg
 	bad.Table = "lossy"
 	if _, err := New(bad); err == nil {
@@ -163,7 +163,7 @@ func TestTableSchemeValidation(t *testing.T) {
 // FlowSlots budget still splits with the remainder distributed, each shard
 // rounding its share up to whole buckets.
 func TestCuckooShardsSplitBudget(t *testing.T) {
-	dcfg, _ := ageingDeploy(t, 1000, 0, 0)
+	dcfg, _ := ageingDeploy(t, 1000, 0)
 	dcfg.Table = TableCuckoo
 	dcfg.Ways = 4
 	dcfg.Stash = 4

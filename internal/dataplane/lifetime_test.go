@@ -10,18 +10,20 @@ import (
 	"splidt/internal/trace"
 )
 
-// lifetimeDeploy trains a per-class-lifetime model on a heavy-tailed
-// workload (LongIATFraction of the flows rewritten into keepalive patterns
-// with 0.6–2s gaps) and returns a deployment config plus the packet stream.
-// Training sees the same heavy-tailed flows, so the leaves their windows
-// route to learn multi-second idle budgets.
-func lifetimeDeploy(t *testing.T) (Config, []trace.LabeledFlow) {
+// lifetimeDeploy trains a model on a heavy-tailed workload
+// (LongIATFraction of the flows rewritten into keepalive patterns with
+// 0.6–2s gaps) and returns a deployment config plus the packet stream. With
+// lifetimes set, training sees the same heavy-tailed flows, so the leaves
+// their windows route to learn multi-second idle budgets; without, every
+// leaf falls back to the deployment's global IdleTimeout. Lifetimes are
+// stamped onto an already-trained tree, so both models classify alike.
+func lifetimeDeploy(t *testing.T, lifetimes bool) (Config, []trace.LabeledFlow) {
 	t.Helper()
 	flows := trace.GenerateWith(trace.D3, 120, 33, trace.GenConfig{LongIATFraction: 0.3})
 	samples := trace.BuildSamples(flows, 2)
 	m, err := core.Train(samples, core.Config{
 		Partitions: []int{3, 2}, FeaturesPerSubtree: 4, NumClasses: 13,
-		Lifetimes: true,
+		Lifetimes: lifetimes,
 	})
 	if err != nil {
 		t.Fatalf("Train: %v", err)
@@ -30,8 +32,8 @@ func lifetimeDeploy(t *testing.T) (Config, []trace.LabeledFlow) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	if c.MaxLifetime() <= 0 {
-		t.Fatal("trained model carries no leaf lifetimes")
+	if got := c.MaxLifetime() > 0; got != lifetimes {
+		t.Fatalf("trained model carries leaf lifetimes: %v, want %v", got, lifetimes)
 	}
 	return Config{
 		Profile: resources.Tofino1(), Model: m, Compiled: c, FlowSlots: 1 << 16,
@@ -55,17 +57,19 @@ func runExpiry(t *testing.T, cfg Config, flows []trace.LabeledFlow) Stats {
 	return pl.Stats()
 }
 
-// TestSweepEvictsKeepalivesWheelKeeps is the per-class-lifetime headline
-// pin. Every flow in the workload runs to completion, so its final packet
-// releases its entry — any expiry eviction reclaims a LIVE flow. Under a
-// global idle timeout tuned for the chatty traffic (300ms, well over its
-// IATs), the striped sweep demonstrably evicts the heavy-tailed keepalive
-// flows mid-gap (their idle periods are 0.6–2s by construction). The timer
-// wheel on the same timeout, armed with the per-leaf lifetimes trained from
-// those same gaps, keeps every flow alive to its natural end — and emits
-// exactly the digest stream of an expiry-free pipeline.
-func TestSweepEvictsKeepalivesWheelKeeps(t *testing.T) {
-	cfg, flows := lifetimeDeploy(t)
+// TestGlobalLifetimeEvictsKeepalivesTrainedKeeps is the per-class-lifetime
+// headline pin. Every flow in the workload runs to completion, so its final
+// packet releases its entry — any expiry eviction reclaims a LIVE flow.
+// Over a model trained without lifetimes, every flow gets the global idle
+// timeout, tuned for the chatty traffic (300ms, well over its IATs), and
+// expiry demonstrably evicts the heavy-tailed keepalive flows mid-gap (their
+// idle periods are 0.6–2s by construction). On the same timeout, the model
+// trained with per-leaf lifetimes from those same gaps keeps every flow
+// alive to its natural end — and emits exactly the digest stream of an
+// expiry-free pipeline.
+func TestGlobalLifetimeEvictsKeepalivesTrainedKeeps(t *testing.T) {
+	cfg, flows := lifetimeDeploy(t, true)
+	gcfg, _ := lifetimeDeploy(t, false)
 	const timeout = 300 * time.Millisecond
 
 	// Baseline: no expiry at all — the digest stream ageing must not alter.
@@ -73,32 +77,32 @@ func TestSweepEvictsKeepalivesWheelKeeps(t *testing.T) {
 	if base.Evictions != 0 {
 		t.Fatalf("baseline evicted %d entries with expiry disabled", base.Evictions)
 	}
-
-	scfg := cfg
-	scfg.Expiry = ExpirySweep
-	scfg.IdleTimeout = timeout
-	scfg.SweepStripe = 1 << 16 // full pass per packet: laziness is not the pin
-	sweep := runExpiry(t, scfg, flows)
-	if sweep.Evictions == 0 {
-		t.Fatal("global-timeout sweep evicted nothing; the keepalive workload is not exercising expiry")
+	if gbase := runExpiry(t, gcfg, flows); gbase != base {
+		t.Fatalf("lifetime-free model classifies differently:\nbase   %+v\nglobal %+v", base, gbase)
 	}
 
-	wcfg := cfg
-	wcfg.Expiry = ExpiryWheel
-	wcfg.IdleTimeout = timeout
-	wheel := runExpiry(t, wcfg, flows)
-	if wheel.Evictions != 0 || wheel.WheelExpiries != 0 {
+	gcfg.IdleTimeout = timeout
+	global := runExpiry(t, gcfg, flows)
+	if global.Evictions == 0 || global.WheelExpiries != global.Evictions {
+		t.Fatalf("global timeout evicted %d (%d expiries); the keepalive workload is not exercising expiry",
+			global.Evictions, global.WheelExpiries)
+	}
+
+	cfg.IdleTimeout = timeout
+	trained := runExpiry(t, cfg, flows)
+	if trained.Evictions != 0 || trained.WheelExpiries != 0 {
 		t.Fatalf("wheel evicted %d live flows (%d expiries) despite per-class lifetimes",
-			wheel.Evictions, wheel.WheelExpiries)
+			trained.Evictions, trained.WheelExpiries)
 	}
-	if wheel.Digests != base.Digests || wheel.Packets != base.Packets ||
-		wheel.ControlPackets != base.ControlPackets {
-		t.Fatalf("wheel expiry perturbed inference:\nbase  %+v\nwheel %+v", base, wheel)
+	if trained.Digests != base.Digests || trained.Packets != base.Packets ||
+		trained.ControlPackets != base.ControlPackets {
+		t.Fatalf("per-class lifetimes perturbed inference:\nbase    %+v\ntrained %+v", base, trained)
 	}
-	// The sweep's mid-gap evictions are visible in the digest stream: each
-	// evicted keepalive restarts at the root subtree and classifies again.
-	if sweep.Digests <= base.Digests {
-		t.Fatalf("sweep digests %d <= baseline %d: evictions did not hit live flows",
-			sweep.Digests, base.Digests)
+	// The global timeout's mid-gap evictions are visible in the digest
+	// stream: each evicted keepalive restarts at the root subtree and
+	// classifies again.
+	if global.Digests <= base.Digests {
+		t.Fatalf("global-timeout digests %d <= baseline %d: evictions did not hit live flows",
+			global.Digests, base.Digests)
 	}
 }

@@ -16,19 +16,17 @@
 // hardware) or a d-way cuckoo table with a bounded stash whose verified
 // lookups keep flows exact well past the collision-free regime.
 //
-// Flow-table ageing is likewise first-class, as on real packet processors:
-// entries carry a packet-time touch stamp, Sweep incrementally reclaims
-// entries idle past Config.IdleTimeout (one bounded stripe per call,
-// amortised O(1) per packet), and Evict reclaims a specific flow's entry on
-// a controller verdict. Reclaims are counted in Stats.Evictions.
-//
-// Expiry has a scheme knob of its own (Config.Expiry): the striped sweep
-// above (the default), or a hierarchical timer wheel (internal/timerwheel)
-// that arms a per-entry deadline re-armed on every touch with the flow's
-// per-class lifetime — the idle budget its current decision-tree leaf
-// learned from training IAT statistics — so chatty classes reclaim fast
-// while long-IAT keepalive classes survive gaps a global timeout would
-// evict them over.
+// Flow-table ageing is likewise first-class, as on real packet processors.
+// A positive Config.IdleTimeout arms a hierarchical timer wheel
+// (internal/timerwheel): every entry carries a packet-time deadline,
+// re-armed on every touch with the flow's per-class lifetime — the idle
+// budget its current decision-tree leaf learned from training IAT
+// statistics, rounded up to the wheel's 1ms tick — so chatty classes
+// reclaim fast while long-IAT keepalive classes survive gaps a global
+// timeout would evict them over. Sweep advances the wheel to the caller's
+// packet time, reclaiming exactly the entries whose deadlines elapsed, and
+// Evict reclaims a specific flow's entry on a controller verdict. Reclaims
+// are counted in Stats.Evictions.
 //
 // Resource budgets are enforced at construction through the same
 // resources.Profile model the design search uses, so a pipeline that
@@ -85,42 +83,6 @@ func ParseTableScheme(s string) (TableScheme, error) {
 	}
 }
 
-// ExpiryScheme selects the flow-expiry mechanism — how idle entries are
-// found and reclaimed.
-type ExpiryScheme string
-
-// The expiry schemes.
-const (
-	// ExpirySweep is the striped scan: Sweep examines SweepStripe cells per
-	// call with a wrapping cursor and reclaims entries idle past IdleTimeout.
-	// The zero value of Config.Expiry selects it, so existing deployments
-	// behave exactly as before the timer-wheel subsystem existed. Reclaim is
-	// lazy — an idle entry survives until the cursor next visits its cell —
-	// and the timeout is global: every flow gets the same idle budget.
-	ExpirySweep ExpiryScheme = "sweep"
-	// ExpiryWheel is the hierarchical timer wheel: every live entry carries
-	// an armed deadline, touches re-arm it with the flow's per-class
-	// lifetime (the current leaf's trained lifetime once classified onto
-	// one, the deployment base lifetime before that), and Sweep advances the
-	// wheel to the caller's packet time, firing exactly the entries whose
-	// deadlines elapsed — O(expired) per advance rather than O(stripe) per
-	// call. Requires IdleTimeout > 0 (the base lifetime).
-	ExpiryWheel ExpiryScheme = "wheel"
-)
-
-// ParseExpiryScheme validates a scheme name ("" selects ExpirySweep).
-func ParseExpiryScheme(s string) (ExpiryScheme, error) {
-	switch ExpiryScheme(s) {
-	case "", ExpirySweep:
-		return ExpirySweep, nil
-	case ExpiryWheel:
-		return ExpiryWheel, nil
-	default:
-		return "", fmt.Errorf("unknown expiry scheme %q (valid: %s, %s)",
-			s, ExpirySweep, ExpiryWheel)
-	}
-}
-
 // Config assembles a deployment: the hardware target, the trained model and
 // its compiled tables, and the flow-table geometry (concurrent flow slots,
 // scheme, associativity).
@@ -147,32 +109,18 @@ type Config struct {
 	// Workload, when set, is used for the recirculation budget check.
 	Workload trace.Workload
 	// IdleTimeout enables flow-table ageing: an entry untouched for at
-	// least this long (measured in packet time, not wall clock) becomes
-	// reclaimable by Sweep — both live-idle entries and parked early-exit
-	// entries whose flow tail never arrived (e.g. because the dispatcher
-	// drops a blocked flow's remaining packets). Zero disables ageing:
-	// Sweep is a no-op and the pipeline behaves exactly as before the
-	// ageing subsystem existed.
+	// least its lifetime (measured in packet time, not wall clock) is
+	// reclaimed by the Sweep that advances past its deadline — both
+	// live-idle entries and parked early-exit entries whose flow tail never
+	// arrived (e.g. because the dispatcher drops a blocked flow's remaining
+	// packets). The timeout is the base lifetime armed on flows not yet
+	// classified onto a leaf with a trained per-class lifetime (a compiled
+	// model whose largest leaf lifetime exceeds it raises the base to that,
+	// so no class is evicted faster than its own training data says it
+	// idles). Zero disables ageing: no wheel is built, Sweep is a no-op and
+	// the pipeline behaves exactly as before the ageing subsystem existed.
 	IdleTimeout time.Duration
-	// SweepStripe is the number of flow-table cells one Sweep call examines
-	// (default 128). Bounding per-call work lets a caller interleave one
-	// Sweep per packet burst and keep ageing amortised O(1) per packet,
-	// the way hardware flow-table sweep engines share the pipeline with
-	// traffic.
-	SweepStripe int
-	// Expiry selects the flow-expiry mechanism; the zero value is
-	// ExpirySweep, preserving the pre-timerwheel pipeline exactly.
-	// ExpiryWheel requires IdleTimeout > 0: the timeout becomes the base
-	// lifetime armed on flows not yet classified onto a leaf with a trained
-	// per-class lifetime (though a compiled model whose largest leaf
-	// lifetime exceeds it raises the base to that, so no class is evicted
-	// faster than its own training data says it idles).
-	Expiry ExpiryScheme
 }
-
-// defaultSweepStripe is the SweepStripe applied when the config leaves it
-// zero.
-const defaultSweepStripe = 128
 
 // Digest is the classification record the pipeline sends to the controller
 // when a flow exits the model (§3.1.2).
@@ -204,7 +152,7 @@ type Stats struct {
 	// stash line — the packet passes through with no state).
 	Collisions  int
 	RecircBytes int // control-channel bytes
-	Evictions   int // flow-table entries reclaimed by Sweep or Evict
+	Evictions   int // flow-table entries reclaimed by wheel expiry or Evict
 	// Kicks counts cuckoo displacements: resident entries moved to their
 	// alternate bucket to clear an insertion path (zero for other schemes).
 	Kicks int
@@ -212,14 +160,14 @@ type Stats struct {
 	// stash (zero for other schemes).
 	StashInserts int
 	// WheelExpiries counts entries reclaimed by the timer wheel's expiry
-	// callback (wheel expiry only; each is also counted in Evictions, which
-	// stays the scheme-neutral reclaim total).
+	// callback (each is also counted in Evictions, which totals expiries
+	// and Evict reclaims).
 	WheelExpiries int
 	// WheelCascades[l-1] counts wheel nodes re-filed downward out of level l
-	// when that level's window wrapped (wheel expiry only). High counts in
-	// the upper indices mean deadlines routinely land far beyond the lower
-	// levels' spans — a signal the tick or slot count is mis-sized for the
-	// deployment's lifetimes.
+	// when that level's window wrapped. High counts in the upper indices
+	// mean deadlines routinely land far beyond the lower levels' spans — a
+	// signal the tick or slot count is mis-sized for the deployment's
+	// lifetimes.
 	WheelCascades [timerwheel.DefaultLevels - 1]int
 }
 
@@ -266,19 +214,19 @@ type Pipeline struct {
 	table flowtable.Store
 	stats Stats
 	marks []uint32 // per-window scratch, reused so Process never allocates
-	// wheel is the hierarchical expiry timer (nil under sweep expiry — the
-	// guard every wheel touch point branches on, keeping the sweep hot path
-	// identical to the pre-timerwheel pipeline).
+	// wheel is the hierarchical expiry timer (nil with ageing off — the
+	// guard every wheel touch point branches on, keeping the ageing-off hot
+	// path identical to the pre-ageing pipeline).
 	wheel *timerwheel.Wheel
 	// baseLifetime is the deadline armed on flows not yet classified onto a
 	// leaf with a trained lifetime: max(IdleTimeout, largest compiled leaf
 	// lifetime) — conservative before classification, refined per-leaf at
 	// window boundaries.
 	baseLifetime time.Duration
-	// clock is the highest packet timestamp Process has seen. Entries are
-	// touch-stamped with it (not the raw packet TS) so ageing stays
-	// monotone even when a source replays a trace from time zero — the
-	// hardware analogue is the switch's free-running timestamp register.
+	// clock is the highest packet timestamp Process has seen. Deadlines are
+	// armed from it (not the raw packet TS) so ageing stays monotone even
+	// when a source replays a trace from time zero — the hardware analogue
+	// is the switch's free-running timestamp register.
 	clock time.Duration
 	// epoch is the deployment epoch of the currently deployed tree (0 at
 	// construction, set by Redeploy), stamped into every digest.
@@ -300,13 +248,6 @@ func validate(cfg Config) error {
 	}
 	if cfg.Ways < 0 {
 		return fmt.Errorf("dataplane: negative table ways")
-	}
-	expiry, err := ParseExpiryScheme(string(cfg.Expiry))
-	if err != nil {
-		return fmt.Errorf("dataplane: %w", err)
-	}
-	if expiry == ExpiryWheel && cfg.IdleTimeout <= 0 {
-		return fmt.Errorf("dataplane: wheel expiry requires a positive IdleTimeout (the base flow lifetime)")
 	}
 	w := cfg.Workload
 	if w.Name == "" {
@@ -344,7 +285,7 @@ func newPipeline(cfg Config) *Pipeline {
 		table: newStore(cfg),
 		marks: make([]uint32, cfg.Compiled.K),
 	}
-	if cfg.Expiry == ExpiryWheel {
+	if cfg.IdleTimeout > 0 {
 		pl.baseLifetime = cfg.IdleTimeout
 		if ml := cfg.Compiled.MaxLifetime(); ml > pl.baseLifetime {
 			pl.baseLifetime = ml
@@ -372,9 +313,6 @@ func (pl *Pipeline) expire(n *timerwheel.Node) {
 func New(cfg Config) (*Pipeline, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
-	}
-	if cfg.SweepStripe <= 0 {
-		cfg.SweepStripe = defaultSweepStripe
 	}
 	return newPipeline(cfg), nil
 }
@@ -408,9 +346,6 @@ func NewShards(cfg Config, n int) ([]*Pipeline, error) {
 	if err := validate(shardMax); err != nil {
 		return nil, err
 	}
-	if cfg.SweepStripe <= 0 {
-		cfg.SweepStripe = defaultSweepStripe
-	}
 	cfg.Compiled.Freeze()
 	per, rem := cfg.FlowSlots/n, cfg.FlowSlots%n
 	shards := make([]*Pipeline, n)
@@ -442,7 +377,7 @@ func (pl *Pipeline) Process(p pkt.Packet) *Digest {
 	e, st := pl.table.Acquire(ck)
 	switch st {
 	case flowtable.StatusFresh:
-		// Fresh entry: activate the root subtree. Under wheel expiry the
+		// Fresh entry: activate the root subtree. With ageing on the
 		// flow starts on the base lifetime — the most conservative trained
 		// lifetime — until a window boundary classifies it onto a leaf.
 		e.SID = 1
@@ -473,15 +408,14 @@ func (pl *Pipeline) Process(p pkt.Packet) *Digest {
 		// packets pass through unclassified and leave no state — they are
 		// counted above as collisions and otherwise ignored. The colliding
 		// flow gets no inference until the entry frees (flow end of the
-		// owner, Evict, or an idle-timeout Sweep). Only the owner refreshes
-		// the parked entry's age: collider packets are not folded into its
-		// state, and letting them keep a dead parked entry fresh would
-		// starve the collider of its slot forever — the sweep must be able
-		// to reclaim a parked entry whose owner went away even while
-		// colliders still hash onto it. (Verified schemes never share, so
-		// there st is always Owner here.)
+		// owner, Evict, or idle expiry). Only the owner re-arms the parked
+		// entry's deadline: collider packets are not folded into its state,
+		// and letting them keep a dead parked entry alive would starve the
+		// collider of its slot forever — expiry must be able to reclaim a
+		// parked entry whose owner went away even while colliders still
+		// hash onto it. (Verified schemes never share, so there st is
+		// always Owner here.)
 		if st != flowtable.StatusShared {
-			e.Touched = pl.clock
 			if p.Seq >= p.FlowSize {
 				pl.table.Release(e)
 			} else if pl.wheel != nil {
@@ -490,15 +424,13 @@ func (pl *Pipeline) Process(p pkt.Packet) *Digest {
 		}
 		return nil
 	}
-	// Live entry: every packet that reaches it refreshes its age, direct-
-	// scheme colliders included — they genuinely share the registers (their
-	// packets fold into the window state below), so the entry is live as
-	// long as anything hits it, like the hardware timestamp register
-	// written on access.
-	e.Touched = pl.clock
+	// Live entry: every packet that reaches it re-arms its deadline one
+	// lifetime out, direct-scheme colliders included — they genuinely share
+	// the registers (their packets fold into the window state below), so
+	// the entry is live as long as anything hits it, like the hardware
+	// timestamp register written on access. O(1): a later deadline only
+	// updates the node's due tick (the wheel re-files it lazily).
 	if pl.wheel != nil {
-		// Re-arm the deadline one lifetime out. O(1): unlink from the old
-		// slot, relink into the new one.
 		pl.wheel.Schedule(e.Timer(), pl.clock+e.Lifetime)
 	}
 
@@ -620,46 +552,32 @@ func (pl *Pipeline) TableStats() flowtable.Stats { return pl.table.Stats() }
 // enough for the engine's per-burst live snapshots.
 func (pl *Pipeline) ActiveFlows() int { return pl.table.Occupied() }
 
-// Sweep advances the flow-table ageing engine by one stripe: it examines
-// the next cfg.SweepStripe flow-table cells (wrapping around the table) and
-// frees every occupied entry whose last touch is at least IdleTimeout
-// before now — live entries of flows that went quiet as well as parked
-// early-exit entries whose tail was dropped upstream and would otherwise
-// leak forever (stash lines included, under the cuckoo scheme). now is
-// packet time (the caller's monotone view of the traffic clock, e.g. the
-// newest timestamp a shard worker has processed), never wall clock, so
-// sweeping is deterministic for a given packet sequence and sweep schedule.
-// It returns how many entries it reclaimed and counts them in
-// Stats.Evictions. With IdleTimeout zero, ageing is disabled and Sweep does
-// nothing. Sweep never allocates; a full pass over the table costs
-// ceil(Cap/SweepStripe) calls, which callers amortise to O(1) work per
-// packet by sweeping once per burst, like hardware sweep engines that
-// steal idle pipeline cycles.
-//
-// Under wheel expiry, Sweep is the same "drive expiry from packet time"
-// entry point but delegates to the wheel: it advances the wheel to now,
-// firing exactly the entries whose armed deadlines elapsed — O(expired) plus
-// O(ticks crossed) bookkeeping, instead of a stripe scan. Reclaims are
-// counted by the expiry callback (Stats.Evictions and Stats.WheelExpiries).
+// Sweep drives flow-table ageing from packet time: it advances the expiry
+// wheel to now, firing exactly the entries whose armed deadlines elapsed —
+// live entries of flows that went quiet as well as parked early-exit
+// entries whose tail was dropped upstream and would otherwise leak forever
+// (stash lines included, under the cuckoo scheme). now is packet time (the
+// caller's monotone view of the traffic clock, e.g. the newest timestamp a
+// shard worker has processed), never wall clock, so expiry is
+// deterministic for a given packet sequence and sweep schedule. It returns
+// how many entries it reclaimed; the expiry callback counts them in
+// Stats.Evictions and Stats.WheelExpiries. With IdleTimeout zero, ageing is
+// disabled and Sweep does nothing. Sweep never allocates and costs
+// O(expired) plus O(ticks crossed), so callers sweep once per burst.
 //
 //splidt:hotpath
 func (pl *Pipeline) Sweep(now time.Duration) int {
-	if pl.wheel != nil {
-		return pl.wheel.Advance(now)
-	}
-	if pl.cfg.IdleTimeout <= 0 {
+	if pl.wheel == nil {
 		return 0
 	}
-	n := pl.table.Sweep(now, pl.cfg.IdleTimeout, pl.cfg.SweepStripe)
-	pl.stats.Evictions += n
-	return n
+	return pl.wheel.Advance(now)
 }
 
 // Evict frees the flow's table entry immediately if the flow currently
 // owns one, returning whether a reclaim happened. This is the
 // controller-initiated ageing path: when policy blocks a flow whose tail
-// will be dropped upstream, the entry would otherwise stay parked until an
-// idle-timeout sweep finds it. Evict works with ageing disabled, and it is
+// will be dropped upstream, the entry would otherwise stay parked until its
+// idle deadline expires. Evict works with ageing disabled, and it is
 // a no-op when the flow holds no entry — including the direct-scheme case
 // of a slot held by a colliding flow (the slot is that flow's state now;
 // evicting it would punish an innocent bystander).
@@ -681,7 +599,7 @@ func (pl *Pipeline) Epoch() uint64 { return pl.epoch }
 // CheckRedeploy runs the same feasibility validation New would on this
 // pipeline's deployment with the model and compiled tables swapped for the
 // candidate pair — the admission check a hitless redeploy performs before
-// touching any replica. Geometry (slots, scheme, expiry) is the deployed
+// touching any replica. Geometry (slots, scheme, ageing) is the deployed
 // one; only the tree changes.
 func (pl *Pipeline) CheckRedeploy(m *core.Model, c *rangemark.Compiled) error {
 	cfg := pl.cfg
@@ -697,14 +615,14 @@ func (pl *Pipeline) CheckRedeploy(m *core.Model, c *rangemark.Compiled) error {
 // compiled tables.
 //
 // Flow state carries across the swap: every live entry keeps its SID, packet
-// count, window registers, touch stamp, and armed timer, so flows mid-tree
-// continue exactly where they were — the new tables are a superset-compatible
-// drop-in when the tree is unchanged. Entries whose SID does not exist in the
+// count, window registers, and armed timer, so flows mid-tree continue
+// exactly where they were — the new tables are a superset-compatible drop-in
+// when the tree is unchanged. Entries whose SID does not exist in the
 // new tree (the tree shrank or was restructured) are reset to the root
 // subtree with cleared window state: they re-classify under the new tree
 // rather than hitting a model-table miss. Parked early-exit entries (doneSID)
 // are left alone — they are already classified and only wait for their flow
-// tail. Under wheel expiry the base lifetime is recomputed from the new
+// tail. With ageing on, the base lifetime is recomputed from the new
 // tree's trained per-leaf budgets; per-entry lifetimes re-adopt the new
 // leaves' budgets naturally at each flow's next window boundary.
 func (pl *Pipeline) Redeploy(m *core.Model, c *rangemark.Compiled, epoch uint64) {
@@ -735,18 +653,6 @@ func (pl *Pipeline) Redeploy(m *core.Model, c *rangemark.Compiled, epoch uint64)
 		}
 	})
 	pl.epoch = epoch
-}
-
-// AgeingEnabled reports whether the deployment configured an idle timeout.
-// Wheel-expiry deployments always age (they require one).
-func (pl *Pipeline) AgeingEnabled() bool { return pl.cfg.IdleTimeout > 0 }
-
-// Expiry returns the deployment's expiry scheme, normalised.
-func (pl *Pipeline) Expiry() ExpiryScheme {
-	if pl.wheel != nil {
-		return ExpiryWheel
-	}
-	return ExpirySweep
 }
 
 // TableCap returns the flow table's total cell count (slot-array length

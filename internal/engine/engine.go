@@ -21,7 +21,7 @@
 // (Session.Digests / Session.Poll) and push ActionBlock verdicts back into
 // the dispatch stage's drop filter (Session.Block) mid-run. Blocking also
 // evicts the flow's register slot via a per-shard eviction mailbox, and
-// workers drive the dataplane's flow-table ageing sweep once per burst
+// workers advance the dataplane's flow-table expiry wheel once per burst
 // from a monotone packet-time clock — so long-lived sessions reclaim slots
 // of blocked and dead flows instead of leaking them (Stats.Evictions).
 //
@@ -80,10 +80,10 @@ func (s *SliceSource) Next() (pkt.Packet, bool) {
 }
 
 // ShiftSource wraps a Source, offsetting every packet timestamp by a fixed
-// Offset — how a driver replays one trace as successive later waves. The
-// flow-table ageing sweep runs on packet time, so a wave re-fed with its
-// original timestamps would leave the monotone sweep clock frozen at the
-// previous wave's end and the sweep inert; shifting each wave past the
+// Offset — how a driver replays one trace as successive later waves.
+// Flow-table expiry runs on packet time, so a wave re-fed with its
+// original timestamps would leave the monotone expiry clock frozen at the
+// previous wave's end and expiry inert; shifting each wave past the
 // last keeps packet time advancing the way real repeat traffic would.
 // Max reports the highest shifted timestamp yielded so far — after a wave
 // drains, it is the natural Offset for the next one.
@@ -137,7 +137,7 @@ type Config struct {
 	WatchdogInterval time.Duration
 	// FlightRecorder is the per-shard flight-recorder depth in events
 	// (internal/telemetry/flight), rounded up to a power of two. The
-	// recorder logs burst boundaries, sweep reclaims, eviction batches,
+	// recorder logs burst boundaries, expiry reclaims, eviction batches,
 	// epoch adoptions, watchdog flags, and quarantines; Engine.FlightLog
 	// snapshots it live, and a shard panic dumps it into
 	// ShardPanicError.Postmortem. 0 selects flight.DefaultDepth (256);
@@ -413,8 +413,8 @@ func (e *Engine) Run(src Source) (*Result, error) {
 }
 
 // work is one shard's consumer loop: pop a burst, apply queued evictions,
-// run the burst through the replica, advance the ageing sweep by one stripe
-// of packet time, stream digests to the sink, hand the burst back to its
+// run the burst through the replica, advance flow-table expiry to the
+// burst's packet time, stream digests to the sink, hand the burst back to its
 // owning feeder's free ring, publish a fresh stats snapshot. Exits when the
 // feed side has signalled done and the queue is drained.
 //
@@ -569,10 +569,10 @@ func (s *shardState) processBurst(sess *Session, shard int, b *burst) (ok bool) 
 	npkts := len(b.pkts)
 	if npkts > 0 {
 		// Drive flow-table ageing from packet time, never wall clock:
-		// one bounded sweep stripe per burst keeps the reclaim cost
-		// amortised O(1) per packet and the schedule deterministic for
-		// a given burst sequence. The clock is monotone across replayed
-		// waves (a re-streamed trace restarts at time zero).
+		// one expiry-wheel advance per burst costs O(expired) and keeps
+		// the schedule deterministic for a given burst sequence. The
+		// clock is monotone across replayed waves (a re-streamed trace
+		// restarts at time zero).
 		if ts := b.pkts[npkts-1].TS; ts > s.sweepNow {
 			s.sweepNow = ts
 		}

@@ -37,7 +37,7 @@ type ShardPanicError struct {
 	Stack []byte // the panicking goroutine's stack
 	// Postmortem is the shard's flight-recorder snapshot taken inside the
 	// panic fence: the last ~Config.FlightRecorder events (burst
-	// boundaries, sweep reclaims, eviction batches, epoch adoptions,
+	// boundaries, expiry reclaims, eviction batches, epoch adoptions,
 	// watchdog flags) preceding the fault, ending with the quarantine
 	// event itself. Empty when the recorder is disabled.
 	Postmortem []flight.Event

@@ -34,8 +34,8 @@ var (
 type Snapshot struct {
 	// Stats is the merged per-shard counter deltas since Start. It trails
 	// live state by at most one in-flight burst per shard. Stats.Evictions
-	// counts register slots reclaimed this session by flow-table ageing
-	// sweeps and Block/Evict-initiated eviction.
+	// counts register slots reclaimed this session by idle expiry and
+	// Block/Evict-initiated eviction.
 	Stats dataplane.Stats
 	// PerShard is the per-shard split of Stats.
 	PerShard []dataplane.Stats

@@ -404,6 +404,12 @@ func waitFor(t *testing.T, cond func() bool) {
 // early-exited flows get their remaining packets dropped at the dispatcher
 // while their register slots sit parked. It returns how many flows drew a
 // block.
+//
+// Digests reach Poll asynchronously, so a consumer that only polls between
+// chunks can fall arbitrarily far behind the workers — on a loaded host,
+// far enough that every verdict lands after the tails it should drop. So
+// after each chunk it waits for the workers to go quiet, then drains until
+// every digest they emitted has been answered, before feeding the next.
 func feedBlockingDigests(t *testing.T, s *Session, pkts []pkt.Packet, blockFn func(flow.Key)) int {
 	t.Helper()
 	buf := make([]dataplane.Digest, 256)
@@ -417,23 +423,27 @@ func feedBlockingDigests(t *testing.T, s *Session, pkts []pkt.Packet, blockFn fu
 		if err := s.FeedAll(pkts[off:end]); err != nil {
 			t.Fatalf("FeedAll: %v", err)
 		}
-		for {
-			n := s.Poll(buf)
-			if n == 0 {
-				break
+		// Every packet fed so far is either processed or dropped at
+		// dispatch...
+		waitFor(t, func() bool {
+			snap := s.Snapshot()
+			return int64(snap.Stats.Packets)+snap.Dropped == snap.Fed
+		})
+		// ...and every digest it produced is answered.
+		digests := s.Snapshot().Stats.Digests
+		waitFor(t, func() bool {
+			for {
+				n := s.Poll(buf)
+				if n == 0 {
+					return blocked == digests
+				}
+				for _, d := range buf[:n] {
+					blockFn(d.Key)
+					blocked++
+				}
 			}
-			for _, d := range buf[:n] {
-				blockFn(d.Key)
-				blocked++
-			}
-		}
+		})
 	}
-	// Let the workers finish everything fed so far: every packet is either
-	// processed or dropped at dispatch.
-	waitFor(t, func() bool {
-		snap := s.Snapshot()
-		return int64(snap.Stats.Packets)+snap.Dropped == snap.Fed
-	})
 	return blocked
 }
 
@@ -453,9 +463,10 @@ func shiftTS(pkts []pkt.Packet, d time.Duration) []pkt.Packet {
 // only: blocking a flow that had early-exited left its parked register
 // slot waiting for a flow-end packet the dispatcher would now drop, so the
 // slot leaked — ActiveFlows never returned to ~0. The test reproduces that
-// exact behaviour through the internal filter (leg 1), then shows the
-// idle-timeout sweep reclaiming the leak with ageing enabled (leg 2), and
-// the new Block evicting it immediately even with ageing off (leg 3).
+// exact behaviour through the internal filter (leg 1), then shows idle
+// expiry on the timer wheel reclaiming the leak with ageing enabled (leg
+// 2), and the new Block evicting it immediately even with ageing off (leg
+// 3).
 func TestBlockedFlowLeakRegression(t *testing.T) {
 	wave1 := trace.Interleave(trace.Generate(trace.D3, 60, eqSeed), eqSpacing)
 	// Wave 2: different flows (fresh seed) far enough into packet time that
@@ -465,7 +476,6 @@ func TestBlockedFlowLeakRegression(t *testing.T) {
 	run := func(idle time.Duration, useFilterOnly bool) (leaked, final, evictions int) {
 		cfg := deployCfg(t, 1<<14)
 		cfg.IdleTimeout = idle
-		cfg.SweepStripe = 1024
 		e, err := New(Config{Deploy: cfg, Shards: 2, Burst: 16, Queue: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -489,8 +499,8 @@ func TestBlockedFlowLeakRegression(t *testing.T) {
 		})
 		leaked = s.Snapshot().ActiveFlows
 
-		// Wave 2 drives packet time (and with it the per-shard sweeps)
-		// forward; its own flows complete and free their slots.
+		// Wave 2 drives packet time (and with it the per-shard expiry
+		// wheels) forward; its own flows complete and free their slots.
 		if err := s.FeedAll(wave2); err != nil {
 			t.Fatal(err)
 		}
@@ -514,21 +524,21 @@ func TestBlockedFlowLeakRegression(t *testing.T) {
 		t.Fatalf("ageing off: %d evictions counted", evictions)
 	}
 
-	// Leg 2 — the fix, sweep arm: same buggy filter-only blocking, but the
-	// idle-timeout sweep reclaims the parked-dead slots as wave 2's packet
-	// time passes the timeout.
+	// Leg 2 — the fix, ageing arm: same buggy filter-only blocking, but the
+	// parked-dead slots' wheel deadlines expire as wave 2's packet time
+	// passes the timeout.
 	leaked2, final2, evictions2 := run(10*time.Second, true)
 	if leaked2 == 0 {
 		t.Fatal("ageing on: wave 1 leaked nothing to reclaim")
 	}
 	if final2 >= leaked2 {
-		t.Fatalf("sweep reclaimed nothing: %d leaked, %d still active", leaked2, final2)
+		t.Fatalf("expiry reclaimed nothing: %d leaked, %d still active", leaked2, final2)
 	}
 	if evictions2 < leaked2 {
-		t.Fatalf("sweep evicted %d slots, want at least the %d leaked", evictions2, leaked2)
+		t.Fatalf("expiry evicted %d slots, want at least the %d leaked", evictions2, leaked2)
 	}
 	if final2 > 2 {
-		t.Fatalf("ActiveFlows = %d after sweep, want ~0", final2)
+		t.Fatalf("ActiveFlows = %d after expiry, want ~0", final2)
 	}
 
 	// Leg 3 — the fix, eviction arm: Block reclaims the slot at verdict
@@ -543,8 +553,8 @@ func TestBlockedFlowLeakRegression(t *testing.T) {
 		t.Fatalf("ActiveFlows = %d at close with evicting Block, want ~0", final3)
 	}
 
-	// Leg 4 — the shipped configuration, both arms: evict-on-Block plus the
-	// ageing sweep leave no leak at all.
+	// Leg 4 — the shipped configuration, both arms: evict-on-Block plus
+	// idle expiry leave no leak at all.
 	_, final4, evictions4 := run(10*time.Second, false)
 	if final4 > 2 {
 		t.Fatalf("ActiveFlows = %d with eviction and ageing, want ~0", final4)

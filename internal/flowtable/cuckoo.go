@@ -1,10 +1,6 @@
 package flowtable
 
-import (
-	"time"
-
-	"splidt/internal/flow"
-)
+import "splidt/internal/flow"
 
 // Cuckoo scheme defaults.
 const (
@@ -57,7 +53,6 @@ type Cuckoo struct {
 	stash    []Entry
 	occupied int
 	stashed  int
-	sweepPos int // wrapping cursor over entries then stash
 	maxProbe int
 	stats    Stats
 
@@ -353,41 +348,6 @@ func (t *Cuckoo) Evict(k flow.Key) bool {
 	}
 	t.Release(e)
 	return true
-}
-
-// Sweep implements Store: a bounded stripe of the flat cell space (bucket
-// cells, then stash lines) per call, with a wrapping cursor — stash
-// residents age out exactly like bucket residents, freeing their lines.
-//
-//splidt:hotpath
-func (t *Cuckoo) Sweep(now, timeout time.Duration, stripe int) int {
-	cells := len(t.entries) + len(t.stash)
-	if stripe > cells {
-		stripe = cells
-	}
-	evicted := 0
-	for i := 0; i < stripe; i++ {
-		var e *Entry
-		stashLine := t.sweepPos >= len(t.entries)
-		if stashLine {
-			e = &t.stash[t.sweepPos-len(t.entries)]
-		} else {
-			e = &t.entries[t.sweepPos]
-		}
-		t.sweepPos++
-		if t.sweepPos == cells {
-			t.sweepPos = 0
-		}
-		if e.SID != 0 && now-e.Touched >= timeout {
-			if stashLine {
-				t.stashed--
-			}
-			e.free()
-			t.occupied--
-			evicted++
-		}
-	}
-	return evicted
 }
 
 // Occupied implements Store.

@@ -1,10 +1,6 @@
 package flowtable
 
-import (
-	"time"
-
-	"splidt/internal/flow"
-)
+import "splidt/internal/flow"
 
 // Direct is the direct-mapped register array: one slot per CRC32 hash
 // index. It reproduces the hardware (and pre-flowtable pipeline) semantics
@@ -15,7 +11,6 @@ import (
 type Direct struct {
 	entries  []Entry
 	occupied int
-	sweepPos int
 	stats    Stats
 }
 
@@ -72,30 +67,6 @@ func (d *Direct) Evict(k flow.Key) bool {
 	}
 	d.Release(e)
 	return true
-}
-
-// Sweep implements Store: one bounded stripe of the slot array per call,
-// wrapping cursor, exactly the ageing walk the pipeline ran before the
-// store was extracted.
-//
-//splidt:hotpath
-func (d *Direct) Sweep(now, timeout time.Duration, stripe int) int {
-	if stripe > len(d.entries) {
-		stripe = len(d.entries)
-	}
-	evicted := 0
-	for i := 0; i < stripe; i++ {
-		e := &d.entries[d.sweepPos]
-		d.sweepPos++
-		if d.sweepPos == len(d.entries) {
-			d.sweepPos = 0
-		}
-		if e.SID != 0 && now-e.Touched >= timeout {
-			d.Release(e)
-			evicted++
-		}
-	}
-	return evicted
 }
 
 // Occupied implements Store.

@@ -21,17 +21,18 @@
 //
 // All schemes are single-writer by design, like the pipeline that owns them:
 // one shard worker mutates one store. Steady-state operations (Acquire of a
-// resident flow, Release, Evict, Sweep) never allocate; only Oracle
+// resident flow, Release, Evict) never allocate; only Oracle
 // allocates on first-packet insert, which is why it is the test oracle and
 // not a deployment scheme.
 //
 // Contract: Acquire claims an Entry for a canonical flow key. A fresh entry
 // is returned zeroed with its key recorded; the caller must set SID non-zero
 // immediately (SID == 0 is the store's "free cell" marker, exactly as a
-// zero subtree ID marks a free register slot on hardware). Release, Evict,
-// and Sweep clear entries back to zero, disarming the entry's embedded
-// timer node first — a cell is never recycled with a stale wheel deadline
-// still linked to it.
+// zero subtree ID marks a free register slot on hardware). Release and
+// Evict clear entries back to zero, disarming the entry's embedded timer
+// node first — a cell is never recycled with a stale wheel deadline still
+// linked to it. Idle expiry lives outside the store: the pipeline arms each
+// entry's timer node on a timer wheel and releases the entry when it fires.
 package flowtable
 
 import (
@@ -44,19 +45,18 @@ import (
 
 // Entry is one flow's register state. Field layout mirrors the register
 // arrays of the simulated pipeline: the subtree ID and packet count the
-// model tables key on, the window feature state, the ageing touch stamp,
-// and — under wheel expiry — the embedded timer node and the per-class
-// idle lifetime the pipeline last armed it with. The owning key is
+// model tables key on, the window feature state, and — when ageing is on —
+// the embedded timer node and the per-class idle lifetime the pipeline
+// last armed it with. The owning key is
 // store-managed (set at Acquire, verified on lookup) and read through Key.
 type Entry struct {
 	SID      uint16
 	PktCount uint32
 	Started  time.Duration
-	Touched  time.Duration
 	// Lifetime is the idle lifetime the entry's deadline is re-armed with
-	// on every touch under wheel expiry: the flow's current leaf's
-	// per-class lifetime once classified onto one, the deployment's base
-	// lifetime before that. Zero under sweep expiry.
+	// on every touch: the flow's current leaf's per-class lifetime once
+	// classified onto one, the deployment's base lifetime before that.
+	// Zero while ageing is off.
 	Lifetime time.Duration
 	State    features.FlowState
 
@@ -84,7 +84,7 @@ func (e *Entry) Key() flow.Key { return e.key }
 func (e *Entry) Timer() *timerwheel.Node { return &e.timer }
 
 // free disarms the entry's timer and zeroes it — the one free path every
-// store reclaim (Release, Evict, Sweep, wheel expiry) must go through:
+// store reclaim (Release, Evict, wheel expiry) must go through:
 // zeroing an armed entry without unlinking would leave its slot-list
 // neighbours pointing at a recycled cell, and a stale deadline could then
 // expire whatever flow claims the cell next.
@@ -174,13 +174,6 @@ type Store interface {
 	//
 	//splidt:hotpath
 	Evict(k flow.Key) bool
-	// Sweep examines up to stripe cells (advancing a wrapping cursor) and
-	// frees every entry whose Touched stamp is at least timeout before now,
-	// returning how many it reclaimed. Oracle scans its whole map per call;
-	// its stripe parameter is ignored.
-	//
-	//splidt:hotpath
-	Sweep(now, timeout time.Duration, stripe int) int
 	// Occupied returns the live-entry count, maintained incrementally (O(1)).
 	Occupied() int
 	// Cap returns the store's total cell count (buckets × ways + stash for

@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"splidt/internal/flow"
+	"splidt/internal/timerwheel"
 )
 
 // testKey builds the i-th distinct canonical key of the test universe
@@ -236,30 +238,43 @@ func TestCuckooStashDisabled(t *testing.T) {
 	}
 }
 
-// TestCuckooSweepReclaimsStashLines pins the ageing arm on the stash: an
-// aged-out stash resident is reclaimed by the striped sweep and its line
-// freed, exactly like a bucket cell.
-func TestCuckooSweepReclaimsStashLines(t *testing.T) {
+// expiryWheel builds a timer wheel whose expiries release the entry back to
+// the store — the pipeline's expiry callback, minus its counters.
+func expiryWheel(s Store) *timerwheel.Wheel {
+	return timerwheel.New(timerwheel.Config{OnExpire: func(n *timerwheel.Node) {
+		s.Release(n.Data.(*Entry))
+	}})
+}
+
+// TestCuckooWheelExpiryFreesStashLines pins the ageing arm on the stash: a
+// stash resident whose wheel deadline passes is released through the
+// store, which frees its line and decrements the stash gauge exactly like
+// a bucket cell's expiry frees the cell.
+func TestCuckooWheelExpiryFreesStashLines(t *testing.T) {
 	c := NewCuckoo(CuckooConfig{Capacity: 1, Ways: 1, Stash: 2})
+	w := expiryWheel(c)
 	const idle = 10 * time.Second
-	stamp := func(e *Entry, at time.Duration) { e.Touched = at }
 
-	stamp(activate(t, c, testKey(1)), 0)           // bucket resident
-	stamp(activate(t, c, testKey(2)), time.Second) // stash resident, fresher
+	w.Schedule(activate(t, c, testKey(1)).Timer(), idle) // bucket resident
+	stashed := activate(t, c, testKey(2))                // stash resident, fresher
+	if !c.inStash(stashed) {
+		t.Fatal("setup: second flow did not land in the stash")
+	}
+	w.Schedule(stashed.Timer(), time.Second+idle)
 
-	// Sweep one full pass at a time where only the bucket resident is idle.
-	if got := c.Sweep(idle, idle, c.Cap()); got != 1 {
-		t.Fatalf("sweep reclaimed %d, want 1 (bucket resident only)", got)
+	// Advance to where only the bucket resident is idle.
+	if got := w.Advance(idle); got != 1 {
+		t.Fatalf("wheel expired %d, want 1 (bucket resident only)", got)
 	}
 	if st := c.Stats(); st.Stashed != 1 || st.Occupied != 1 {
-		t.Fatalf("after first sweep: %+v", st)
+		t.Fatalf("after first expiry: %+v", st)
 	}
 	// One second later the stash resident is idle too.
-	if got := c.Sweep(idle+time.Second, idle, c.Cap()); got != 1 {
-		t.Fatalf("sweep reclaimed %d, want 1 (stash resident)", got)
+	if got := w.Advance(idle + time.Second); got != 1 {
+		t.Fatalf("wheel expired %d, want 1 (stash resident)", got)
 	}
 	if st := c.Stats(); st.Stashed != 0 || st.Occupied != 0 {
-		t.Fatalf("stash line leaked through sweep: %+v", st)
+		t.Fatalf("stash line leaked through wheel expiry: %+v", st)
 	}
 	// The reclaimed line is usable again.
 	activate(t, c, testKey(3))
@@ -396,18 +411,21 @@ func TestOracleExactness(t *testing.T) {
 	if !o.Evict(testKey(8)) || o.Occupied() != 998 {
 		t.Fatal("oracle eviction failed")
 	}
-	// Sweep reclaims everything idle, whole-map per call: refresh the first
-	// 500 keys (re-activating the two freed above), leave the rest stale.
+	// Wheel expiry releases oracle entries too: arm every entry, then push
+	// the first 500 keys' deadlines out (re-activating the two freed
+	// above), leaving the rest due.
+	w := expiryWheel(o)
+	o.Walk(func(e *Entry) { w.Schedule(e.Timer(), 30*time.Minute) })
 	for i := 0; i < 500; i++ {
 		e, st := o.Acquire(testKey(i))
 		if st == StatusFresh {
 			e.SID = 1
 		}
-		e.Touched = time.Hour
+		w.Schedule(e.Timer(), time.Hour+30*time.Minute)
 	}
-	got := o.Sweep(time.Hour+time.Minute, 30*time.Minute, 1)
+	got := w.Advance(time.Hour + time.Minute)
 	if got != 500 || o.Occupied() != 500 {
-		t.Fatalf("oracle sweep reclaimed %d (occupied %d), want 500 (500)", got, o.Occupied())
+		t.Fatalf("oracle expiry reclaimed %d (occupied %d), want 500 (500)", got, o.Occupied())
 	}
 }
 
@@ -437,5 +455,17 @@ func TestStatusString(t *testing.T) {
 		if st.String() != s {
 			t.Fatalf("%d.String() = %q, want %q", int(st), st.String(), s)
 		}
+	}
+}
+
+// TestEntrySize pins the per-flow register footprint on 64-bit hosts: the
+// timer node's filed tick took the place of the removed touch stamp, so an
+// entry stays at 456 bytes. Growth multiplies across every table cell.
+func TestEntrySize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("entry layout pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Entry{}); got > 456 {
+		t.Fatalf("sizeof(Entry) = %d, want <= 456", got)
 	}
 }

@@ -1,10 +1,6 @@
 package flowtable
 
-import (
-	"time"
-
-	"splidt/internal/flow"
-)
+import "splidt/internal/flow"
 
 // Oracle is the unbounded exact store: every flow gets a private entry, no
 // collisions, no displacement, no capacity. It is physically unbuildable —
@@ -48,21 +44,6 @@ func (o *Oracle) Evict(k flow.Key) bool {
 	}
 	o.Release(e)
 	return true
-}
-
-// Sweep implements Store. The oracle has no cell array to stripe over; each
-// call scans the whole map (stripe is ignored) and frees every idle entry —
-// the same reclaim set an exact table of infinite stripe would produce.
-// Iteration order is irrelevant because eviction is a per-entry predicate.
-func (o *Oracle) Sweep(now, timeout time.Duration, _ int) int {
-	evicted := 0
-	for _, e := range o.flows {
-		if e.SID != 0 && now-e.Touched >= timeout {
-			o.Release(e)
-			evicted++
-		}
-	}
-	return evicted
 }
 
 // Occupied implements Store.

@@ -121,8 +121,7 @@ func TestMillionFlowValidation(t *testing.T) {
 		shards = 8
 	)
 	dcfg := deployCfg(t, slots)
-	dcfg.Table = dataplane.TableCuckoo // direct mapping collision-couples at this load
-	dcfg.Expiry = dataplane.ExpiryWheel
+	dcfg.Table = dataplane.TableCuckoo       // direct mapping collision-couples at this load
 	dcfg.IdleTimeout = 10 * time.Millisecond // virtual time; see ChurnConfig.TimeScale
 	e, err := engine.New(engine.Config{Deploy: dcfg, Shards: shards})
 	if err != nil {

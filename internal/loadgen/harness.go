@@ -118,13 +118,13 @@ type PhaseReport struct {
 	Digests      int64
 	Dropped      int64 // packets of blocked flows discarded
 	Backpressure int64 // Feed calls refused (each retried; open loop)
-	Evictions    int64 // flow-table slots reclaimed (sweep + Block/Evict)
+	Evictions    int64 // flow-table slots reclaimed (expiry + Block/Evict)
 	Rejects      int64 // packets the flow table refused state for
 	Births       int64 // flow rebirths across generators (churn mode)
 
 	// WheelExpiries counts flows reclaimed by timer-wheel expiry this
 	// phase; WheelCascades counts wheel nodes re-filed to a finer level
-	// (summed over levels). Both 0 under sweep-mode expiry.
+	// (summed over levels). Both 0 with ageing off.
 	WheelExpiries int64
 	WheelCascades int64
 

@@ -46,9 +46,11 @@ const (
 	// KindBurstEnd: the burst completed and stats published. A = packets
 	// processed, B = digests emitted so far (cumulative).
 	KindBurstEnd
-	// KindSweep: a flow-table ageing sweep (or timer-wheel advance)
-	// reclaimed state. A = entries reclaimed. Recorded only when A > 0;
-	// per-burst no-op sweeps would drown everything else.
+	// KindSweep: a per-burst Pipeline.Sweep — the flow-table expiry
+	// wheel's advance — reclaimed state. A = entries reclaimed. Recorded
+	// only when A > 0; per-burst no-op advances would drown everything
+	// else. The event keeps its "sweep" name so /flightrecorder consumers
+	// stay unbroken.
 	KindSweep
 	// KindEvict: a drained eviction batch (controller block decisions)
 	// was applied. A = entries actually freed, B = batch size requested.

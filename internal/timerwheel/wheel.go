@@ -21,9 +21,17 @@
 // neighbour pointers after a memmove — the one operation a
 // pointer-intrusive list needs to survive value copies.
 //
+// Re-arming is lazy (park-and-recheck): a node re-armed to a later
+// deadline only updates its due tick and stays in the slot it is filed
+// under; when that slot comes round, the node is re-filed by its current
+// due tick instead of firing. A flow entry re-armed on every packet thus
+// costs one store per packet and one re-file per lifetime, rather than an
+// unlink and relink — writes into neighbouring entries at random addresses
+// — per packet. Only a re-arm to an earlier deadline relinks at once.
+//
 // The wheel runs on the caller's clock — packet time here, never wall
 // clock — so expiry is deterministic for a given packet sequence and
-// advance schedule, exactly like the flow-table sweep it replaces.
+// advance schedule.
 package timerwheel
 
 import (
@@ -52,6 +60,10 @@ type Node struct {
 	next, prev *Node
 	// due is the absolute tick the node fires at (0 while unarmed).
 	due int64
+	// filed is the due tick the node's current slot was chosen for (0
+	// while unarmed). due >= filed always: a later re-arm leaves the node
+	// where it is, and the slot's visit re-files it.
+	filed int64
 	// Data is an opaque back-pointer from the node to its embedding entry,
 	// set by the container at claim time. Pointer payloads keep arming
 	// allocation-free (a pointer-to-interface conversion does not allocate).
@@ -64,10 +76,10 @@ type Node struct {
 func (n *Node) Armed() bool { return n.next != nil }
 
 // Unlink disarms the node: it splices itself out of its slot list and
-// zeroes its links. Safe (a no-op) on an unarmed node, so every store
-// free path can call it unconditionally. O(1), needs no wheel reference —
-// which is what lets the flow table disarm entries it reclaims without
-// holding the wheel that armed them.
+// zeroes its links and ticks. Safe (a no-op) on an unarmed node, so every
+// store free path can call it unconditionally. O(1), needs no wheel
+// reference — which is what lets the flow table disarm entries it reclaims
+// without holding the wheel that armed them.
 //
 //splidt:hotpath
 func (n *Node) Unlink() {
@@ -77,7 +89,7 @@ func (n *Node) Unlink() {
 	n.prev.next = n.next
 	n.next.prev = n.prev
 	n.next, n.prev = nil, nil
-	n.due = 0
+	n.due, n.filed = 0, 0
 }
 
 // Relink repairs the slot list after the embedding entry was copied to a
@@ -93,12 +105,6 @@ func (n *Node) Relink() {
 	}
 	n.prev.next = n
 	n.next.prev = n
-}
-
-// Deadline returns the absolute expiry time the node was last armed with,
-// or 0 if unarmed.
-func (n *Node) Deadline(tick time.Duration) time.Duration {
-	return time.Duration(n.due) * tick
 }
 
 // Config sizes a wheel.
@@ -134,6 +140,7 @@ type Wheel struct {
 	levels   int
 	slots    []Node // levels × 2^shift sentinel headers, flat
 	cur      int64  // current tick: Advance has processed every tick <= cur
+	span     int64  // furthest due tick Schedule files, relative to cur
 	expire   func(*Node)
 	expiries int
 	cascades []int
@@ -170,6 +177,7 @@ func New(cfg Config) *Wheel {
 		mask:     int64(cfg.Slots - 1),
 		levels:   cfg.Levels,
 		slots:    make([]Node, cfg.Levels*cfg.Slots),
+		span:     int64(1)<<(shift*uint(cfg.Levels)) - 1,
 		expire:   cfg.OnExpire,
 		cascades: make([]int, cfg.Levels-1),
 	}
@@ -186,12 +194,13 @@ func (w *Wheel) Tick() time.Duration { return w.tick }
 // Now returns the wheel's current time, quantised to ticks.
 func (w *Wheel) Now() time.Duration { return time.Duration(w.cur) * w.tick }
 
-// Horizon returns the furthest deadline the wheel can file without
-// clamping (deadlines past it fire at the horizon instead — the dataplane
-// re-arms entries on every touch, so a clamped deadline only ever fires
-// early on a flow that went quiet for the whole horizon anyway).
+// Horizon returns the furthest deadline, relative to the wheel's current
+// time, that Schedule accepts without clamping (deadlines past it fire at
+// the horizon instead — the dataplane re-arms entries on every touch, so a
+// clamped deadline only ever fires early on a flow that went quiet for the
+// whole horizon anyway).
 func (w *Wheel) Horizon() time.Duration {
-	return time.Duration(int64(1)<<(w.shift*uint(w.levels))-1) * w.tick
+	return time.Duration(w.span) * w.tick
 }
 
 // Stats returns a copy of the wheel's counters.
@@ -208,33 +217,41 @@ func (w *Wheel) slot(level int, idx int64) *Node {
 
 // Schedule arms (or re-arms) the node to fire once the wheel advances past
 // deadline. A deadline at or before the wheel's current time fires on the
-// next Advance that moves time forward. O(1); never allocates.
+// next Advance that moves time forward; one past the horizon fires at the
+// horizon. Re-arming an armed node to a later deadline only records the
+// new due tick — the node's slot is visited no later than the old one and
+// re-files it then — while an earlier deadline relinks it at once. O(1);
+// never allocates.
 //
 //splidt:hotpath
 func (w *Wheel) Schedule(n *Node, deadline time.Duration) {
-	n.Unlink()
 	// Ceiling tick: the node must not fire before its deadline has fully
 	// passed on the caller's clock.
 	due := int64((deadline + w.tick - 1) / w.tick)
 	if due <= w.cur {
 		due = w.cur + 1
 	}
+	if due > w.cur+w.span {
+		due = w.cur + w.span
+	}
+	if n.next != nil && due >= n.filed {
+		n.due = due
+		return
+	}
+	n.Unlink()
 	n.due = due
 	w.place(n)
 }
 
 // place files a node by its absolute due tick: level l holds nodes due
 // within (slots^l, slots^(l+1)] ticks, slot index is the due tick's level-l
-// digit. Deadlines past the horizon clamp into the top level.
+// digit. Schedule's horizon clamp keeps every due tick inside the top
+// level's span.
 //
 //splidt:hotpath
 func (w *Wheel) place(n *Node) {
+	n.filed = n.due
 	dt := n.due - w.cur
-	maxDt := int64(1) << (w.shift * uint(w.levels))
-	if dt >= maxDt {
-		n.due = w.cur + maxDt - 1
-		dt = maxDt - 1
-	}
 	level := 0
 	for dt >= int64(1)<<(w.shift*uint(level+1)) {
 		level++
@@ -248,10 +265,10 @@ func (w *Wheel) place(n *Node) {
 
 // Advance moves the wheel's clock to now, firing every node whose deadline
 // has passed, and returns how many fired. Cost is one (usually empty) slot
-// visit per elapsed tick plus O(1) per expired or cascaded node — O(expired)
-// for the dense advance schedules the engine drives (one call per burst).
-// now below the current wheel time is a no-op: the clock is monotone, like
-// the packet-time clock that drives it.
+// visit per elapsed tick plus O(1) per expired, cascaded or re-filed node —
+// O(expired) for the dense advance schedules the engine drives (one call
+// per burst). now below the current wheel time is a no-op: the clock is
+// monotone, like the packet-time clock that drives it.
 //
 //splidt:hotpath
 func (w *Wheel) Advance(now time.Duration) int {
@@ -261,52 +278,41 @@ func (w *Wheel) Advance(now time.Duration) int {
 		w.cur++
 		// Cascade every level whose window wraps at this tick, lowest
 		// first. Nodes re-file strictly below their source level (their
-		// remaining delta is now under the level's span), or fire here if
-		// their due tick is the current one.
+		// remaining delta is now under the level's span) unless a lazy
+		// re-arm moved them later, or fire here if their due tick is the
+		// current one.
 		for l := 1; l < w.levels; l++ {
 			if w.cur&(int64(1)<<(w.shift*uint(l))-1) != 0 {
 				break
 			}
-			fired += w.cascade(l)
+			fired += w.visit(l)
 		}
-		fired += w.fire(w.slot(0, w.cur&w.mask))
+		fired += w.visit(0)
 	}
 	return fired
 }
 
-// cascade empties the level's current slot, re-filing each node downward
-// (or firing it when its due tick is exactly now).
+// visit empties the level's current slot: every node due by now fires,
+// every other one — filed in an upper level, or lazily re-armed past the
+// tick it was filed for — is re-filed by its due tick. Level-0 residents
+// have distinct slot indices per filed tick, so no lap check is needed.
 //
 //splidt:hotpath
-func (w *Wheel) cascade(level int) int {
+func (w *Wheel) visit(level int) int {
 	s := w.slot(level, (w.cur>>(w.shift*uint(level)))&w.mask)
 	fired := 0
 	for s.next != s {
 		n := s.next
-		due := n.due // Unlink zeroes the due tick; keep it for re-filing
-		n.Unlink()
-		w.cascades[level-1]++
-		if due <= w.cur {
-			w.expiries++
-			fired++
-			w.expire(n) //splidt:allow funcval — OnExpire callback; the dataplane's expire is itself //splidt:hotpath
+		if level > 0 {
+			w.cascades[level-1]++
+		}
+		if n.due > w.cur {
+			due := n.due // Unlink zeroes the ticks; keep the due one for re-filing
+			n.Unlink()
+			n.due = due
+			w.place(n)
 			continue
 		}
-		n.due = due
-		w.place(n)
-	}
-	return fired
-}
-
-// fire empties a level-0 slot. Every node in it is due exactly now: level-0
-// residents always have distinct slot indices per due tick, so no
-// lap check is needed.
-//
-//splidt:hotpath
-func (w *Wheel) fire(s *Node) int {
-	fired := 0
-	for s.next != s {
-		n := s.next
 		n.Unlink()
 		w.expiries++
 		fired++

@@ -1,6 +1,9 @@
 package timerwheel
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -223,5 +226,162 @@ func TestWheelPastDeadlineFiresNext(t *testing.T) {
 	arm(w, it, 50*time.Millisecond) // already past
 	if n := w.Advance(100*time.Millisecond + w.Tick()); n != 1 {
 		t.Fatalf("past deadline fired %d on next tick, want 1", n)
+	}
+}
+
+// TestWheelLazyRearmLater pins the lazy re-arm: pushing an armed node's
+// deadline later leaves it linked in the slot it was filed under, yet it
+// fires exactly at the new due tick — including when the new deadline
+// sends it through a level-1 cascade on the way.
+func TestWheelLazyRearmLater(t *testing.T) {
+	w, fired := collect(t, Config{})
+	tick := w.Tick()
+	it := &item{id: 1}
+	arm(w, it, 10*tick)
+	prev, next := it.timer.prev, it.timer.next
+	w.Schedule(&it.timer, 100*tick) // past level 0's 64-tick span
+	if it.timer.prev != prev || it.timer.next != next || it.timer.filed != 10 {
+		t.Fatalf("later re-arm relinked the node (filed %d, want 10)", it.timer.filed)
+	}
+	if it.timer.due != 100 {
+		t.Fatalf("due = %d, want 100", it.timer.due)
+	}
+	// The old slot's visit re-files the node instead of firing it.
+	if n := w.Advance(10 * tick); n != 0 {
+		t.Fatalf("node fired at its stale filed tick (%d fired)", n)
+	}
+	if !it.timer.Armed() || it.timer.filed != 100 {
+		t.Fatalf("node not re-filed for its due tick (armed %v, filed %d)", it.timer.Armed(), it.timer.filed)
+	}
+	cascaded := w.Stats().Cascades[0]
+	if n := w.Advance(99 * tick); n != 0 {
+		t.Fatalf("node fired a tick early (%d fired)", n)
+	}
+	if w.Stats().Cascades[0] == cascaded {
+		t.Fatal("re-filed node did not travel through level 1")
+	}
+	if n := w.Advance(100 * tick); n != 1 {
+		t.Fatalf("Advance to the new due tick fired %d, want 1", n)
+	}
+	if len(*fired) != 1 {
+		t.Fatalf("fired = %v, want exactly one firing", *fired)
+	}
+}
+
+// TestWheelLazyRearmEarlier: pulling a deadline earlier than the tick the
+// node is filed for relinks it at once, so it fires early rather than at
+// its old slot.
+func TestWheelLazyRearmEarlier(t *testing.T) {
+	w, _ := collect(t, Config{})
+	tick := w.Tick()
+	it := &item{id: 1}
+	arm(w, it, 50*tick)
+	w.Schedule(&it.timer, 20*tick)
+	if it.timer.filed != 20 || it.timer.due != 20 {
+		t.Fatalf("earlier re-arm: filed %d due %d, want 20/20", it.timer.filed, it.timer.due)
+	}
+	if n := w.Advance(19 * tick); n != 0 {
+		t.Fatalf("fired %d before the new deadline", n)
+	}
+	if n := w.Advance(20 * tick); n != 1 {
+		t.Fatalf("earlier re-arm did not fire at its new deadline (%d fired)", n)
+	}
+	if n := w.Advance(time.Second); n != 0 {
+		t.Fatalf("node fired again at its old deadline (%d fired)", n)
+	}
+	// One tick earlier is still earlier.
+	arm(w, it, w.Now()+10*tick)
+	w.Schedule(&it.timer, w.Now()+9*tick)
+	if n := w.Advance(w.Now() + 9*tick); n != 1 {
+		t.Fatalf("re-arm one tick earlier fired %d at its new deadline, want 1", n)
+	}
+}
+
+// TestWheelUnlinkClearsFiled: a disarmed node carries no filed tick, so a
+// later re-arm of it links it afresh instead of taking the lazy path.
+func TestWheelUnlinkClearsFiled(t *testing.T) {
+	w, _ := collect(t, Config{})
+	tick := w.Tick()
+	it := &item{id: 1}
+	arm(w, it, 30*tick)
+	it.timer.Unlink()
+	if it.timer.filed != 0 || it.timer.due != 0 || it.timer.Armed() {
+		t.Fatalf("Unlink left filed %d due %d armed %v", it.timer.filed, it.timer.due, it.timer.Armed())
+	}
+	w.Schedule(&it.timer, 40*tick)
+	if !it.timer.Armed() || it.timer.filed != 40 {
+		t.Fatalf("re-arm after Unlink: armed %v filed %d, want true/40", it.timer.Armed(), it.timer.filed)
+	}
+	if n := w.Advance(40 * tick); n != 1 {
+		t.Fatalf("re-armed node fired %d, want 1", n)
+	}
+}
+
+// TestWheelMatchesReference drives a small wheel (8 slots × 3 levels, a
+// 511-tick horizon, so cascades and horizon clamps are frequent) through a
+// seeded random sequence of arms, re-arms, disarms and advances, and checks
+// every Advance fires exactly the nodes a map of deadlines says are due.
+func TestWheelMatchesReference(t *testing.T) {
+	w, fired := collect(t, Config{Slots: 8, Levels: 3})
+	tick := w.Tick()
+	span := int64(w.Horizon() / tick)
+	rng := rand.New(rand.NewSource(12))
+	items := make([]item, 64)
+	for i := range items {
+		items[i].id = i
+		items[i].timer.Data = &items[i]
+	}
+	ref := make(map[int]int64) // item id -> due tick
+	var cur int64
+	for step := 0; step < 20000; step++ {
+		it := &items[rng.Intn(len(items))]
+		switch op := rng.Intn(10); {
+		case op < 6:
+			// Deadlines from the past to beyond the horizon, not
+			// tick-aligned, so the ceiling and both clamps all occur —
+			// or, for an armed node, within two ticks of its current due
+			// tick, the boundary between the lazy and the relinking path.
+			deadline := time.Duration(cur-8)*tick + time.Duration(rng.Int63n(int64(span+40)*int64(tick)))
+			if due, armed := ref[it.id]; armed && op < 3 {
+				deadline = time.Duration(due+rng.Int63n(5)-2) * tick
+			}
+			if deadline < 0 {
+				deadline = 0
+			}
+			w.Schedule(&it.timer, deadline)
+			due := int64((deadline + tick - 1) / tick)
+			if due <= cur {
+				due = cur + 1
+			}
+			if due > cur+span {
+				due = cur + span
+			}
+			ref[it.id] = due
+		case op < 7:
+			it.timer.Unlink()
+			delete(ref, it.id)
+		default:
+			cur += rng.Int63n(24)
+			*fired = (*fired)[:0]
+			w.Advance(time.Duration(cur) * tick)
+			var want []int
+			for id, due := range ref {
+				if due <= cur {
+					want = append(want, id)
+					delete(ref, id)
+				}
+			}
+			got := append([]int(nil), *fired...)
+			sort.Ints(got)
+			sort.Ints(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: Advance(%d ticks) fired %v, reference says %v", step, cur, got, want)
+			}
+		}
+		for i := range items {
+			if _, armed := ref[i]; armed != items[i].timer.Armed() {
+				t.Fatalf("step %d: item %d armed=%v, reference armed=%v", step, i, items[i].timer.Armed(), armed)
+			}
+		}
 	}
 }

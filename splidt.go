@@ -39,12 +39,18 @@
 //     stream and feeds ActionBlock verdicts straight back into the
 //     session's drop filter, closing the paper's detect→block loop while
 //     the flow's packets are still arriving.
-//   - Flow-table ageing: DeployConfig.IdleTimeout arms an incremental
-//     per-shard sweep driven by packet time that reclaims register slots
-//     of flows that went quiet — including parked early-exit slots whose
-//     tails the dispatcher dropped — and Session.Block evicts the blocked
-//     flow's slot immediately, so long-lived sessions keep ActiveFlows
-//     bounded (evictions are counted in Stats.Evictions).
+//   - Flow-table ageing with per-class lifetimes: DeployConfig.IdleTimeout
+//     arms a per-shard hierarchical timing wheel driven by packet time. Every
+//     flow entry carries a deadline re-armed on each touch, and idle
+//     entries are reclaimed in O(expired) as packet time advances —
+//     including parked early-exit slots whose tails the dispatcher dropped
+//     — while Session.Block evicts the blocked flow's slot immediately, so
+//     long-lived sessions keep ActiveFlows bounded (evictions are counted in
+//     Stats.Evictions, expiries in PipelineStats.WheelExpiries). With
+//     Config.Lifetimes, training derives a per-leaf idle lifetime from each
+//     leaf's IAT statistics, so chatty classes expire fast while keepalive
+//     classes (GenerateWith's LongIATFraction builds such workloads)
+//     survive gaps the global IdleTimeout would evict them over.
 //   - Associative flow tables: DeployConfig.Table selects the flow-state
 //     store. The default TableDirect is the paper's direct-mapped register
 //     array, where hash collisions couple flows; TableCuckoo deploys a
@@ -54,16 +60,6 @@
 //     direct array demonstrably diverges (GenerateColliding builds the
 //     adversarial workload; displacement kicks and stash inserts surface
 //     in PipelineStats).
-//   - Timer-wheel expiry with per-class lifetimes: DeployConfig.Expiry
-//     selects the expiry mechanism. ExpiryWheel replaces the striped sweep
-//     with a hierarchical timing wheel that arms every flow entry with a
-//     deadline re-armed on each touch, reclaiming idle entries in
-//     O(expired) as packet time advances; with Config.Lifetimes, training
-//     derives a per-leaf idle lifetime from each leaf's IAT statistics, so
-//     chatty classes expire fast while keepalive classes (GenerateWith's
-//     LongIATFraction builds such workloads) survive gaps a global
-//     IdleTimeout would evict them over (expiries surface in
-//     PipelineStats.WheelExpiries).
 //   - Fault tolerance & hitless redeploy: a panicking shard worker is
 //     quarantined in isolation — its backlog drains to a drop counter
 //     while every other shard keeps processing — with the typed cause
@@ -221,23 +217,6 @@ const (
 
 // ParseTableScheme validates a scheme name ("" selects TableDirect).
 func ParseTableScheme(s string) (TableScheme, error) { return dataplane.ParseTableScheme(s) }
-
-// ExpiryScheme selects how a deployment reclaims idle flow entries
-// (DeployConfig.Expiry): ExpirySweep is the striped scan over the table
-// with the global IdleTimeout, ExpiryWheel the hierarchical timer wheel
-// that arms every flow with a per-class adaptive lifetime (trained per
-// decision-tree leaf when Config.Lifetimes is set) and reclaims in
-// O(expired) as packet time advances.
-type ExpiryScheme = dataplane.ExpiryScheme
-
-// The expiry schemes.
-const (
-	ExpirySweep = dataplane.ExpirySweep
-	ExpiryWheel = dataplane.ExpiryWheel
-)
-
-// ParseExpiryScheme validates a scheme name ("" selects ExpirySweep).
-func ParseExpiryScheme(s string) (ExpiryScheme, error) { return dataplane.ParseExpiryScheme(s) }
 
 // Cuckoo-scheme geometry defaults, applied when DeployConfig leaves
 // Ways/Stash zero (a negative Stash disables the stash entirely).
