@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck fuzz-smoke test race bench bench-engine bench-json bench-1m loadgen-smoke chaos-smoke telemetry-smoke examples ci
+.PHONY: all build vet staticcheck fuzz-smoke test race bench bench-engine bench-json bench-1m bench-pairs loadgen-smoke chaos-smoke telemetry-smoke examples ci
 
 all: build vet test
 
@@ -27,13 +27,15 @@ staticcheck:
 	fi
 
 # 10-second smoke of every seeded fuzzer: wire-format decode, record
-# streams, and TCAM range expansion. Catches corpus regressions without
-# the cost of a real fuzzing campaign.
+# streams, TCAM range expansion, and cuckoo flow-table operation sequences
+# checked against the oracle. Catches corpus regressions without the cost
+# of a real fuzzing campaign.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzUnmarshal$$' -fuzztime 10s ./internal/pkt
 	$(GO) test -run xxx -fuzz 'FuzzUnmarshalControl$$' -fuzztime 10s ./internal/pkt
 	$(GO) test -run xxx -fuzz 'FuzzRecordStream$$' -fuzztime 10s ./internal/pkt
 	$(GO) test -run xxx -fuzz 'FuzzExpandRange$$' -fuzztime 10s ./internal/tcam
+	$(GO) test -run xxx -fuzz 'FuzzCuckooOps$$' -fuzztime 10s ./internal/flowtable
 
 test:
 	$(GO) test ./...
@@ -79,6 +81,16 @@ bench-1m:
 	SPLIDT_LOADGEN_1M=1 $(GO) test -run MillionFlowValidation -timeout 30m -v \
 		./internal/loadgen | grep '^Benchmark' >> BENCH_engine.json
 	@tail -4 BENCH_engine.json
+
+# Paired end-to-end benchmark: PAIRS alternating runs of perfbench on a
+# worktree of BASE and on the working tree, fresh seeds per pair, then each
+# side's median and quartiles per end-to-end metric and the win count. See
+# scripts/bench-pairs.sh.
+BASE ?= HEAD
+WORKLOAD ?= saturate
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh -b $(BASE) -w $(WORKLOAD) -n $(PAIRS)
 
 # Load-harness smoke: a 100K-flow churning population through all phase
 # types — steady, collision storm, block storm — under the race detector,

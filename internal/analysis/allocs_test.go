@@ -140,8 +140,8 @@ func allocProbes() []allocProbe {
 		{
 			name: "flow-key",
 			covers: ids("flow",
-				"AddrFrom4", "Key.Canonical", "Key.Hash", "Key.Index", "Key.IsCanonical",
-				"Key.Reverse", "Key.ShardHash", "Key.SymHash", "Key.bytes", "Mix64"),
+				"AddrFrom4", "Key.Canonical", "Key.Hash", "IndexOf", "Key.IsCanonical",
+				"Key.Reverse", "Key.ShardHash", "Key.SymHash", "Mix64", "Unmix64"),
 			setup: func(t *testing.T) func() {
 				var sink uint64
 				return func() {
@@ -153,8 +153,8 @@ func allocProbes() []allocProbe {
 					if !c.IsCanonical() {
 						t.Fatal("canonical key not canonical")
 					}
-					sink += uint64(c.Hash()) + uint64(c.Index(1<<12)) + uint64(c.SymHash()) +
-						c.ShardHash() + flow.Mix64(sink)
+					sink += uint64(c.Hash()) + uint64(flow.IndexOf(c.Hash(), 1<<12)) + uint64(c.SymHash()) +
+						c.ShardHash() + flow.Mix64(sink) + flow.Unmix64(sink)
 				}
 			},
 		},
@@ -306,27 +306,27 @@ func allocProbes() []allocProbe {
 			name: "flowtable-direct",
 			covers: concat(
 				ids("flowtable",
-					"Direct.Acquire", "Direct.Release", "Direct.Evict", "Direct.slotOf",
+					"Direct.Acquire", "Direct.AcquireHashed", "Direct.Release", "Direct.Evict", "Direct.slotOf",
 					"Entry.Timer", "Entry.free"),
 				// The Store interface annotations are the contract these
 				// probes (and the cuckoo ones) exercise through the interface.
-				ids("flowtable", "Store.Acquire", "Store.Release", "Store.Evict"),
+				ids("flowtable", "Store.Acquire", "Store.AcquireHashed", "Store.Release", "Store.Evict"),
 			),
 			setup: func(t *testing.T) func() { return storeProbe(t, flowtable.NewDirect(256)) },
 		},
 		{
 			name: "flowtable-cuckoo",
 			covers: ids("flowtable",
-				"Cuckoo.Acquire", "Cuckoo.Release", "Cuckoo.Evict",
-				"Cuckoo.altBucket", "Cuckoo.bucketPair", "Cuckoo.freeWay", "Cuckoo.inStash",
-				"Cuckoo.insert", "Cuckoo.lookup", "Cuckoo.searchAndKick"),
+				"Cuckoo.Acquire", "Cuckoo.AcquireHashed", "Cuckoo.Release", "Cuckoo.Evict",
+				"Cuckoo.altBucket", "Cuckoo.bucketPair", "Cuckoo.cellOf", "Cuckoo.freeWay",
+				"Cuckoo.insert", "Cuckoo.lookup", "Cuckoo.match", "Cuckoo.searchAndKick"),
 			setup: func(t *testing.T) func() {
 				return storeProbe(t, flowtable.NewCuckoo(flowtable.CuckooConfig{Capacity: 256, Ways: 4, Stash: 8}))
 			},
 		},
 		{
 			name:   "dataplane-sweep-pipeline",
-			covers: ids("dataplane", "Pipeline.Process", "Pipeline.Sweep", "Pipeline.windowEnd"),
+			covers: ids("dataplane", "Pipeline.Process", "Pipeline.Sweep", "Pipeline.windowEnd", "registerHash"),
 			setup: func(t *testing.T) func() {
 				pl, flows := deployPipeline(t, dataplane.TableCuckoo)
 				mid := midFlowPacket(t, flows)
@@ -477,8 +477,8 @@ func allocProbes() []allocProbe {
 }
 
 // storeProbe exercises one flow-table scheme through the Store interface:
-// resident Acquire, Evict/re-Acquire churn, Release, and entry timer
-// access. Half occupancy first, so cuckoo insertions displace.
+// resident Acquire and AcquireHashed, Evict/re-Acquire churn, Release, and
+// entry timer access. Half occupancy first, so cuckoo insertions displace.
 func storeProbe(t *testing.T, s flowtable.Store) func() {
 	t.Helper()
 	key := func(i int) flow.Key {
@@ -501,8 +501,11 @@ func storeProbe(t *testing.T, s flowtable.Store) func() {
 		if e.Timer().Armed() {
 			t.Fatal("store-level entries must not arm timers")
 		}
+		if eh, _ := s.AcquireHashed(k, k.Hash()); eh != e {
+			t.Fatal("AcquireHashed found a different entry")
+		}
 		s.Evict(k)
-		e2, st := s.Acquire(k)
+		e2, st := s.AcquireHashed(k, k.Hash())
 		if st == flowtable.StatusFresh {
 			e2.SID = 1
 		}

@@ -364,6 +364,23 @@ func NewShards(cfg Config, n int) ([]*Pipeline, error) {
 	return shards, nil
 }
 
+// registerHash returns the canonical key's register hash (ck.Hash(), the
+// CRC32 the flow table indexes with) without recomputing it when it can:
+// a packet source's dispatch hash is flow.Mix64 of exactly that CRC, so
+// un-mixing a stamped one recovers it. An unstamped packet (zero), or a
+// dispatch hash that cannot have come from a 32-bit CRC (high bits set
+// after un-mixing), falls back to hashing the key.
+//
+//splidt:hotpath
+func registerHash(shardHash uint64, ck flow.Key) uint32 {
+	if shardHash != 0 {
+		if h := flow.Unmix64(shardHash); h>>32 == 0 {
+			return uint32(h)
+		}
+	}
+	return ck.Hash()
+}
+
 // Process runs one packet through the pipeline. It returns a non-nil Digest
 // when the packet triggered a final classification.
 //
@@ -374,7 +391,7 @@ func (pl *Pipeline) Process(p pkt.Packet) *Digest {
 		pl.clock = p.TS
 	}
 	ck := p.Key.Canonical()
-	e, st := pl.table.Acquire(ck)
+	e, st := pl.table.AcquireHashed(ck, registerHash(p.ShardHash, ck))
 	switch st {
 	case flowtable.StatusFresh:
 		// Fresh entry: activate the root subtree. With ageing on the

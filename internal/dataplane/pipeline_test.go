@@ -1,10 +1,13 @@
 package dataplane
 
 import (
+	"bytes"
+	"io"
 	"testing"
 	"time"
 
 	"splidt/internal/core"
+	"splidt/internal/flow"
 	"splidt/internal/metrics"
 	"splidt/internal/pkt"
 	"splidt/internal/rangemark"
@@ -371,5 +374,159 @@ func TestActiveFlowsCounterMatchesScan(t *testing.T) {
 	}
 	if pl.ActiveFlows() != 0 {
 		t.Fatalf("%d flows active after all flows completed", pl.ActiveFlows())
+	}
+}
+
+// TestRegisterHash pins the hash-once path's recovery and its fallbacks: a
+// stamped dispatch hash un-mixes to the register hash, and an unstamped or
+// impossible one (high bits set after un-mixing) falls back to hashing the
+// key.
+func TestRegisterHash(t *testing.T) {
+	for _, f := range trace.Generate(trace.D2, 50, 5) {
+		ck := f.Key.Canonical()
+		want := ck.Hash()
+		if got := registerHash(f.Key.ShardHash(), ck); got != want {
+			t.Fatalf("%v: stamped hash gives %#x, want %#x", f.Key, got, want)
+		}
+		if got := registerHash(0, ck); got != want {
+			t.Fatalf("%v: unstamped hash gives %#x, want %#x", f.Key, got, want)
+		}
+		bogus := flow.Mix64(uint64(want) | 1<<40)
+		if got := registerHash(bogus, ck); got != want {
+			t.Fatalf("%v: impossible hash gives %#x, want %#x", f.Key, got, want)
+		}
+	}
+}
+
+// TestStampedAndUnstampedPacketsAgree replays the same packets through two
+// pipelines per table scheme, one with every dispatch hash stamped and one
+// with every dispatch hash zeroed: digests and counters must be identical,
+// on a direct table small enough to collide as well.
+func TestStampedAndUnstampedPacketsAgree(t *testing.T) {
+	cfg := core.Config{Partitions: []int{2, 2}, FeaturesPerSubtree: 4, NumClasses: 4}
+	flows := trace.Generate(trace.D2, 300, 21)
+	m, err := core.Train(trace.BuildSamples(flows, 2), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := rangemark.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := trace.Interleave(flows, 50*time.Microsecond)
+	for _, table := range []TableScheme{TableDirect, TableCuckoo} {
+		build := func() *Pipeline {
+			pl, err := New(Config{Profile: resources.Tofino1(), Model: m, Compiled: c, FlowSlots: 128, Table: table})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pl
+		}
+		stamped, bare := build(), build()
+		for i, p := range pkts {
+			if p.ShardHash == 0 {
+				t.Fatal("generated packet carries no dispatch hash")
+			}
+			ds := stamped.Process(p)
+			p.ShardHash = 0
+			db := bare.Process(p)
+			if (ds == nil) != (db == nil) || (ds != nil && *ds != *db) {
+				t.Fatalf("%v packet %d: digests diverged: %+v vs %+v", table, i, ds, db)
+			}
+		}
+		if stamped.Stats() != bare.Stats() || stamped.TableStats() != bare.TableStats() {
+			t.Fatalf("%v: counters diverged: %+v / %+v vs %+v / %+v",
+				table, stamped.Stats(), stamped.TableStats(), bare.Stats(), bare.TableStats())
+		}
+	}
+}
+
+// TestForgedRecordedHashIsIgnored replays one packet stream from two
+// recordings: one with every dispatch hash correct, one with every hash
+// forged as flow.Mix64 of a different CRC — a value the pipeline's un-mix
+// check cannot reject, which would index the wrong slot or bucket pair if
+// it reached the table. The record reader must stamp each packet's own
+// hash, so digests, Evict results and counters are identical.
+func TestForgedRecordedHashIsIgnored(t *testing.T) {
+	cfg := core.Config{Partitions: []int{2, 2}, FeaturesPerSubtree: 4, NumClasses: 4}
+	flows := trace.Generate(trace.D2, 300, 23)
+	m, err := core.Train(trace.BuildSamples(flows, 2), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := rangemark.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Half the stream, so most flows still hold an entry to evict.
+	pkts := trace.Interleave(flows, 50*time.Microsecond)
+	pkts = pkts[:len(pkts)/2]
+	record := func(forge bool) []pkt.Packet {
+		var buf bytes.Buffer
+		w, err := pkt.NewRecordWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pkts {
+			if forge {
+				p.ShardHash = flow.Mix64(uint64(p.Key.Canonical().Hash() ^ 0x5a5a5a5a))
+			}
+			if err := w.WritePacket(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := pkt.NewRecordReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []pkt.Packet
+		for {
+			p, err := r.Next()
+			if err == io.EOF {
+				return out
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, p)
+		}
+	}
+	good, forged := record(false), record(true)
+	if len(good) != len(pkts) || len(forged) != len(pkts) {
+		t.Fatalf("decoded %d and %d packets, want %d", len(good), len(forged), len(pkts))
+	}
+	for _, table := range []TableScheme{TableDirect, TableCuckoo} {
+		build := func() *Pipeline {
+			pl, err := New(Config{Profile: resources.Tofino1(), Model: m, Compiled: c, FlowSlots: 512, Table: table})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pl
+		}
+		plGood, plForged := build(), build()
+		for i := range good {
+			dg, df := plGood.Process(good[i]), plForged.Process(forged[i])
+			if (dg == nil) != (df == nil) || (dg != nil && *dg != *df) {
+				t.Fatalf("%v packet %d: digests diverged: %+v vs %+v", table, i, dg, df)
+			}
+		}
+		if plGood.ActiveFlows() == 0 {
+			t.Fatalf("%v: no flow left to evict", table)
+		}
+		for _, f := range flows {
+			if eg, ef := plGood.Evict(f.Key), plForged.Evict(f.Key); eg != ef {
+				t.Fatalf("%v: Evict(%v) = %v from the good recording, %v from the forged one", table, f.Key, eg, ef)
+			}
+		}
+		if plGood.Stats() != plForged.Stats() || plGood.TableStats() != plForged.TableStats() {
+			t.Fatalf("%v: counters diverged: %+v / %+v vs %+v / %+v",
+				table, plGood.Stats(), plGood.TableStats(), plForged.Stats(), plForged.TableStats())
+		}
+		if n := plForged.ActiveFlows(); n != 0 {
+			t.Fatalf("%v: %d flows still hold entries after evicting every flow", table, n)
+		}
 	}
 }

@@ -104,6 +104,14 @@ func newBurstPool(nShards int, cfg Config) []*spscRing {
 // the count with ErrBackpressure, caller retries with pkts[n:]). Packets of
 // blocked flows count as accepted but are dropped before dispatch. The
 // caller keeps ownership of the slice.
+//
+// Accepted packets are counted locally and published to the session's
+// shared Fed counter in one add before every push (and at every return),
+// not one atomic add per packet: the counter's cache line is shared by
+// every feeder and every Snapshot reader. Publishing before a push keeps
+// Fed ≥ processed at every instant, which Lag and the settle loops rely
+// on; blocked drops are published after the Fed add, so Fed also never
+// trails Dropped.
 func (f *Feeder) Feed(pkts []pkt.Packet) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -113,11 +121,19 @@ func (f *Feeder) Feed(pkts []pkt.Packet) (int, error) {
 	s := f.s
 	n := len(s.e.shards)
 	burstCap := s.e.cfg.Burst
+	var fed, dropped int64
+	publish := func() {
+		s.fed.Add(fed)
+		if dropped != 0 {
+			s.dropped.Add(dropped)
+		}
+		fed, dropped = 0, 0
+	}
 	for i := range pkts {
 		p := &pkts[i]
 		if s.filter.blocked(p.Key) {
-			s.dropped.Add(1)
-			s.fed.Add(1)
+			dropped++
+			fed++
 			continue
 		}
 		si := p.Shard(n)
@@ -126,6 +142,7 @@ func (f *Feeder) Feed(pkts []pkt.Packet) (int, error) {
 			if s.latHists != nil {
 				cur.fedAt = time.Now()
 			}
+			publish()
 			if !f.tryPush(si, cur) {
 				s.backpressure.Add(1)
 				f.flushStaged()
@@ -137,6 +154,7 @@ func (f *Feeder) Feed(pkts []pkt.Packet) (int, error) {
 		if cur == nil {
 			b, ok := f.free[si].tryPop()
 			if !ok {
+				publish()
 				s.backpressure.Add(1)
 				f.flushStaged()
 				return i, ErrBackpressure
@@ -145,8 +163,9 @@ func (f *Feeder) Feed(pkts []pkt.Packet) (int, error) {
 			cur = b
 		}
 		cur.pkts = append(cur.pkts, *p)
-		s.fed.Add(1)
+		fed++
 	}
+	publish()
 	f.flushStaged()
 	return len(pkts), nil
 }

@@ -280,7 +280,9 @@ func (e *Engine) Start(ctx context.Context, opts ...SessionOption) (*Session, er
 // unconditionally at Close), and the caller keeps ownership of the slice.
 // Packets of blocked flows count as accepted but are dropped before
 // dispatch. Concurrent callers serialise; producers that want real
-// dispatch parallelism take a private Feeder each (NewFeeder).
+// dispatch parallelism take a private Feeder each (NewFeeder). Each
+// packet's ShardHash must be 0 or its key's own ShardHash(): the flow
+// table indexes by it (see pkt.Packet.ShardHash).
 func (s *Session) Feed(pkts []pkt.Packet) (int, error) {
 	n, err := s.def.Feed(pkts)
 	if err == ErrFeederClosed {

@@ -9,9 +9,9 @@
 package flow
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 )
 
 // Proto is an IP protocol number.
@@ -100,51 +100,58 @@ func (k Key) Canonical() Key {
 //splidt:hotpath
 func (k Key) IsCanonical() bool { return k == k.Canonical() }
 
-// bytes serialises the key into a 13-byte wire representation. The layout
-// (src ip, dst ip, src port, dst port, proto) matches what a P4 parser would
-// feed the switch CRC unit.
-//
-//splidt:hotpath
-func (k Key) bytes() [13]byte {
-	var b [13]byte
-	binary.BigEndian.PutUint32(b[0:4], uint32(k.SrcIP))
-	binary.BigEndian.PutUint32(b[4:8], uint32(k.DstIP))
-	binary.BigEndian.PutUint16(b[8:10], k.SrcPort)
-	binary.BigEndian.PutUint16(b[10:12], k.DstPort)
-	b[12] = byte(k.Proto)
-	return b
-}
-
-// ieeeTable backs Hash's explicit CRC32 loop.
-var ieeeTable = crc32.MakeTable(crc32.IEEE)
+// ieeeSlice holds slicing-by-4 tables for Hash's CRC32 (IEEE):
+// ieeeSlice[0] is the byte-at-a-time table, and ieeeSlice[n][i] is the CRC
+// of byte i followed by n zero bytes.
+var ieeeSlice = func() (t [4][256]uint32) {
+	t[0] = *crc32.MakeTable(crc32.IEEE)
+	for i := range t[0] {
+		for n := 1; n < 4; n++ {
+			c := t[n-1][i]
+			t[n][i] = t[0][byte(c)] ^ c>>8
+		}
+	}
+	return t
+}()
 
 // Hash returns the CRC32 (IEEE) of the 5-tuple, the same function Tofino
 // exposes for register indexing. SpliDT hashes the 5-tuple on every packet
 // to locate the flow's slot in each register array. The checksum is
-// computed with an explicit table loop over the fixed-size tuple rather
-// than crc32.ChecksumIEEE: the library's arch-dispatched entry point makes
-// the 13-byte buffer escape to the heap, and this sits on the per-packet
-// path of every pipeline (equality with ChecksumIEEE is pinned by tests).
+// computed over the 13-byte wire tuple (src ip, dst ip, src port, dst port
+// big-endian, then proto: what a P4 parser would feed the switch CRC unit)
+// rather than with crc32.ChecksumIEEE: the library's arch-dispatched entry
+// point makes the buffer escape to the heap, and this sits on the
+// per-packet path of every pipeline. The tuple's three 4-byte words go
+// through slicing-by-4 tables, four independent lookups per word instead of
+// a serial chain of one per byte, and the protocol byte through the byte
+// table (equality with ChecksumIEEE is pinned by tests).
 //
 //splidt:hotpath
 func (k Key) Hash() uint32 {
-	b := k.bytes()
 	crc := ^uint32(0)
-	for _, x := range b {
-		crc = ieeeTable[byte(crc)^x] ^ (crc >> 8)
+	for _, w := range [3]uint32{
+		bits.ReverseBytes32(uint32(k.SrcIP)),
+		bits.ReverseBytes32(uint32(k.DstIP)),
+		uint32(bits.ReverseBytes16(k.SrcPort)) | uint32(bits.ReverseBytes16(k.DstPort))<<16,
+	} {
+		crc ^= w
+		crc = ieeeSlice[3][byte(crc)] ^ ieeeSlice[2][byte(crc>>8)] ^
+			ieeeSlice[1][byte(crc>>16)] ^ ieeeSlice[0][crc>>24]
 	}
+	crc = ieeeSlice[0][byte(crc)^byte(k.Proto)] ^ crc>>8
 	return ^crc
 }
 
-// Index maps the flow hash onto a register array of the given size.
-// Size must be positive.
+// IndexOf maps a flow's register hash (Key.Hash) onto a register array of
+// the given size — the one register-index rule, shared by the direct flow
+// table. Size must be positive.
 //
 //splidt:hotpath
-func (k Key) Index(size int) int {
+func IndexOf(h uint32, size int) int {
 	if size <= 0 {
 		panic("flow: non-positive register array size")
 	}
-	return int(k.Hash() % uint32(size))
+	return int(h % uint32(size))
 }
 
 // SymHash returns a direction-symmetric hash: both directions of a
@@ -173,10 +180,28 @@ func Mix64(x uint64) uint64 {
 	return x
 }
 
+// Unmix64 inverts Mix64: Unmix64(Mix64(x)) == x for every x. Each step of
+// the finalizer is a bijection — an xor-shift is undone by xoring in the
+// shifted value's own shifts, a multiply by the odd constant's inverse mod
+// 2^64 — so the inverse runs them backwards. It lets the flow table recover
+// the register hash a packet source already computed: a stamped
+// pkt.Packet.ShardHash is Mix64 of the canonical key's CRC32, so
+// uint32(Unmix64(ShardHash)) is that CRC with no per-packet rehash.
+//
+//splidt:hotpath
+func Unmix64(x uint64) uint64 {
+	x ^= x>>31 ^ x>>62
+	x *= 0x319642b2d24d8ec3 // inverse of 0x94d049bb133111eb
+	x ^= x>>27 ^ x>>54
+	x *= 0x96de1b173f119089 // inverse of 0xbf58476d1ce4e5b9
+	x ^= x>>30 ^ x>>60
+	return x
+}
+
 // ShardHash returns the direction-symmetric dispatch hash Shard reduces:
 // the symmetric 5-tuple hash scrambled through a splitmix64 finalizer so
 // that shard choice stays statistically independent of register-slot
-// indexing (Index uses the raw hash; taking both modulo related sizes would
+// indexing (IndexOf uses the raw hash; taking both modulo related sizes would
 // otherwise confine each shard's flows to a fraction of its slots). Packet
 // sources precompute it once per flow and carry it on pkt.Packet so the
 // engine's serial dispatch stage does no hashing at all.

@@ -3,6 +3,7 @@ package flow
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -120,7 +121,7 @@ func TestCanonicalIdempotent(t *testing.T) {
 func TestIndexInRange(t *testing.T) {
 	f := func(a, b uint32, sp, dp uint16) bool {
 		key := k(Addr(a), Addr(b), sp, dp, ProtoUDP)
-		i := key.Index(65536)
+		i := IndexOf(key.Hash(), 65536)
 		return i >= 0 && i < 65536
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -131,10 +132,10 @@ func TestIndexInRange(t *testing.T) {
 func TestIndexPanicsOnZeroSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Index(0) did not panic")
+			t.Fatal("IndexOf(h, 0) did not panic")
 		}
 	}()
-	k(1, 2, 3, 4, ProtoTCP).Index(0)
+	IndexOf(k(1, 2, 3, 4, ProtoTCP).Hash(), 0)
 }
 
 func TestKeyString(t *testing.T) {
@@ -193,7 +194,7 @@ func TestShardDecorrelatedFromIndex(t *testing.T) {
 		if residues[s] == nil {
 			residues[s] = make(map[int]bool)
 		}
-		residues[s][key.Canonical().Index(slots)%shards] = true
+		residues[s][IndexOf(key.Canonical().Hash(), slots)%shards] = true
 	}
 	for s, res := range residues {
 		if len(res) < shards/2 {
@@ -221,6 +222,46 @@ func TestShardHashSymmetricAndConsistent(t *testing.T) {
 			if got, want := int(key.ShardHash()%uint64(n)), key.Shard(n); got != want {
 				t.Fatalf("Shard(%d) = %d, but ShardHash reduction gives %d", n, want, got)
 			}
+		}
+	}
+}
+
+// TestUnmix64InvertsMix64 pins the inverse finalizer over edge values and
+// a seeded random sweep, in both composition orders.
+func TestUnmix64InvertsMix64(t *testing.T) {
+	edges := []uint64{
+		0, 1, 2, 0xFF, 0xFFFFFFFF, 1 << 32, 1 << 63, 1<<63 - 1,
+		^uint64(0), ^uint64(0) - 1, 0x94d049bb133111eb, 0xbf58476d1ce4e5b9,
+	}
+	for _, x := range edges {
+		if got := Unmix64(Mix64(x)); got != x {
+			t.Fatalf("Unmix64(Mix64(%#x)) = %#x", x, got)
+		}
+		if got := Mix64(Unmix64(x)); got != x {
+			t.Fatalf("Mix64(Unmix64(%#x)) = %#x", x, got)
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 100000; i++ {
+		x := rng.Uint64()
+		if got := Unmix64(Mix64(x)); got != x {
+			t.Fatalf("Unmix64(Mix64(%#x)) = %#x", x, got)
+		}
+	}
+}
+
+// TestUnmixedShardHashIsRegisterHash pins the identity the flow table's
+// hash-once path relies on: the dispatch hash un-mixes to the canonical
+// key's CRC32, with the high half zero.
+func TestUnmixedShardHashIsRegisterHash(t *testing.T) {
+	for i := 0; i < 2000; i++ {
+		key := k(
+			AddrFrom4(172, 16, byte(i>>8), byte(i)), AddrFrom4(10, 0, byte(i), 9),
+			uint16(1024+i), 80, ProtoUDP,
+		)
+		h := Unmix64(key.ShardHash())
+		if h>>32 != 0 || uint32(h) != key.Canonical().Hash() {
+			t.Fatalf("%v: Unmix64(ShardHash) = %#x, want CRC32 %#x", key, h, key.Canonical().Hash())
 		}
 	}
 }

@@ -46,10 +46,22 @@ type CuckooConfig struct {
 // residents along a bounded breadth-first eviction path), parks it in the
 // stash, or — only when all of that fails — rejects it, visibly, in
 // Stats.Rejects.
+//
+// Keys are also kept out of line, in a dense key line parallel to the
+// bucket cells (the rte_hash/libcuckoo hot/cold split): 16 bytes per cell,
+// so a 4-way bucket's keys share one 64-byte cache line. A probe scans that
+// line and touches an Entry — whose SID and key sit several cache lines
+// apart — only on a key match, or on a zero key when it looks for a free
+// cell. Stash lines keep their in-entry keys: the stash is scanned only
+// while it holds something.
 type Cuckoo struct {
-	ways     int
-	buckets  int
-	entries  []Entry // buckets × ways; bucket b is entries[b*ways:(b+1)*ways]
+	ways    int
+	buckets int
+	entries []Entry // buckets × ways; bucket b is entries[b*ways:(b+1)*ways]
+	// keys[i] is entries[i]'s key while the cell is live and the zero key
+	// while it is free. Every path that claims, moves or frees a bucket cell
+	// updates both.
+	keys     []flow.Key
 	stash    []Entry
 	occupied int
 	stashed  int
@@ -95,6 +107,7 @@ func NewCuckoo(cfg CuckooConfig) *Cuckoo {
 		ways:     ways,
 		buckets:  buckets,
 		entries:  make([]Entry, buckets*ways),
+		keys:     make([]flow.Key, buckets*ways),
 		stash:    make([]Entry, stash),
 		maxProbe: probe,
 	}
@@ -104,17 +117,15 @@ func NewCuckoo(cfg CuckooConfig) *Cuckoo {
 	return t
 }
 
-// bucketPair derives the two candidate buckets from the canonical key with
-// a single CRC pass. h1 is the raw register hash (the direct scheme's index
-// function); h2 is the high half of the dispatch hash — splitmix64(h1),
-// exactly k.ShardHash() for a canonical key — whose low half drives shard
-// selection, so h2 stays decorrelated from both h1 and the shard. The pair
-// is cached on the entry at claim time, so displacement searches never
-// rehash residents.
+// bucketPair derives the two candidate buckets from the canonical key's
+// register hash h1 (k.Hash(), the direct scheme's index function); h2 is
+// the high half of the dispatch hash — splitmix64(h1), exactly k.ShardHash()
+// for a canonical key — whose low half drives shard selection, so h2 stays
+// decorrelated from both h1 and the shard. The pair is cached on the entry
+// at claim time, so displacement searches never rehash residents.
 //
 //splidt:hotpath
-func (t *Cuckoo) bucketPair(k flow.Key) (int, int) {
-	h1 := k.Hash()
+func (t *Cuckoo) bucketPair(h1 uint32) (int, int) {
 	b1 := int(h1 % uint32(t.buckets))
 	b2 := int(uint32(flow.Mix64(uint64(h1))>>32) % uint32(t.buckets))
 	return b1, b2
@@ -131,25 +142,32 @@ func (t *Cuckoo) altBucket(e *Entry, cur int) int {
 	return int(e.hb1)
 }
 
+// match returns the live cell of bucket b that holds k, or -1. It scans
+// the bucket's key line and reads an entry's SID only where the key
+// matches (a zero k also matches free cells, which the SID rules out).
+//
+//splidt:hotpath
+func (t *Cuckoo) match(k flow.Key, b int) int {
+	base := b * t.ways
+	for w, key := range t.keys[base : base+t.ways] {
+		if key == k && t.entries[base+w].SID != 0 {
+			return base + w
+		}
+	}
+	return -1
+}
+
 // lookup finds the flow's entry in its candidate buckets (or the stash)
 // with full key verification, or nil.
 //
 //splidt:hotpath
 func (t *Cuckoo) lookup(k flow.Key, b1, b2 int) *Entry {
-	base := b1 * t.ways
-	for w := 0; w < t.ways; w++ {
-		e := &t.entries[base+w]
-		if e.SID != 0 && e.key == k {
-			return e
-		}
+	if i := t.match(k, b1); i >= 0 {
+		return &t.entries[i]
 	}
 	if b2 != b1 {
-		base = b2 * t.ways
-		for w := 0; w < t.ways; w++ {
-			e := &t.entries[base+w]
-			if e.SID != 0 && e.key == k {
-				return e
-			}
+		if i := t.match(k, b2); i >= 0 {
+			return &t.entries[i]
 		}
 	}
 	if t.stashed > 0 {
@@ -163,17 +181,19 @@ func (t *Cuckoo) lookup(k flow.Key, b1, b2 int) *Entry {
 	return nil
 }
 
-// freeWay returns an empty cell in the bucket, or nil.
+// freeWay returns an empty cell of bucket b, or -1. It scans the bucket's
+// key line and reads an entry's SID only under a zero key (which a live
+// flow with the zero key could also hold).
 //
 //splidt:hotpath
-func (t *Cuckoo) freeWay(b int) *Entry {
+func (t *Cuckoo) freeWay(b int) int {
 	base := b * t.ways
-	for w := 0; w < t.ways; w++ {
-		if t.entries[base+w].SID == 0 {
-			return &t.entries[base+w]
+	for w, key := range t.keys[base : base+t.ways] {
+		if key == (flow.Key{}) && t.entries[base+w].SID == 0 {
+			return base + w
 		}
 	}
-	return nil
+	return -1
 }
 
 // insert claims a cell for k: a free way in either candidate bucket, a cell
@@ -196,17 +216,21 @@ func (t *Cuckoo) insert(k flow.Key, b1, b2 int) *Entry {
 		t.stats.Rejects++
 		return nil
 	}
-	e := t.freeWay(b1)
-	if e == nil && b2 != b1 {
-		e = t.freeWay(b2)
+	var e *Entry
+	i := t.freeWay(b1)
+	if i < 0 && b2 != b1 {
+		i = t.freeWay(b2)
 	}
-	if e == nil {
-		e = t.searchAndKick(b1, b2)
+	if i < 0 {
+		i = t.searchAndKick(b1, b2)
 	}
-	if e == nil {
-		for i := range t.stash {
-			if t.stash[i].SID == 0 {
-				e = &t.stash[i]
+	if i >= 0 {
+		e = &t.entries[i]
+		t.keys[i] = k
+	} else {
+		for j := range t.stash {
+			if t.stash[j].SID == 0 {
+				e = &t.stash[j]
 				t.stashed++
 				t.stats.StashInserts++
 				break
@@ -225,12 +249,12 @@ func (t *Cuckoo) insert(k flow.Key, b1, b2 int) *Entry {
 
 // searchAndKick runs the bounded breadth-first displacement search from the
 // two (fully occupied) candidate buckets and, if it finds a path to a free
-// cell, applies the chain of moves — each resident hops to a free cell in
-// its own alternate bucket — and returns the freed root cell. nil when no
-// path exists within the probe budget.
+// cell, applies the chain of moves — each resident hops, key line and all,
+// to a free cell in its own alternate bucket — and returns the index of the
+// freed root cell. -1 when no path exists within the probe budget.
 //
 //splidt:hotpath
-func (t *Cuckoo) searchAndKick(b1, b2 int) *Entry {
+func (t *Cuckoo) searchAndKick(b1, b2 int) int {
 	q, par := t.queue[:0], t.parent[:0]
 	enqueue := func(b int, p int32) {
 		base := b * t.ways
@@ -254,16 +278,13 @@ func (t *Cuckoo) searchAndKick(b1, b2 int) *Entry {
 search:
 	for i := 0; i < len(q); i++ {
 		alt := t.altBucket(&t.entries[q[i]], int(q[i])/t.ways)
-		base := alt * t.ways
-		for w := 0; w < t.ways; w++ {
-			if t.entries[base+w].SID == 0 {
-				hit, free = i, int32(base+w)
-				break search
-			}
+		if f := t.freeWay(alt); f >= 0 {
+			hit, free = i, int32(f)
+			break search
 		}
 		enqueue(alt, int32(i))
 	}
-	var root *Entry
+	root := -1
 	if hit >= 0 {
 		// Apply the path back to front: the hit cell's occupant moves to the
 		// free cell, each ancestor's occupant moves into the cell its child
@@ -272,6 +293,7 @@ search:
 		for {
 			src := q[cur]
 			t.entries[dst] = t.entries[src]
+			t.keys[dst] = t.keys[src]
 			// The copy carries the entry's armed timer node; repoint the
 			// node's back-pointer and its list neighbours at the new cell
 			// before the stale source is zeroed (plain zero, never Unlink —
@@ -280,6 +302,7 @@ search:
 			moved.timer.Data = moved
 			moved.timer.Relink()
 			t.entries[src] = Entry{}
+			t.keys[src] = flow.Key{}
 			t.stats.Kicks++
 			dst = src
 			if par[cur] < 0 {
@@ -287,7 +310,7 @@ search:
 			}
 			cur = int(par[cur])
 		}
-		root = &t.entries[dst]
+		root = int(dst)
 	}
 	for _, ci := range q {
 		t.seen[ci] = false
@@ -296,12 +319,18 @@ search:
 	return root
 }
 
-// Acquire implements Store: verified lookup, then placement. The bucket
-// pair is derived once per call and threaded through both phases.
+// Acquire implements Store.
 //
 //splidt:hotpath
-func (t *Cuckoo) Acquire(k flow.Key) (*Entry, Status) {
-	b1, b2 := t.bucketPair(k)
+func (t *Cuckoo) Acquire(k flow.Key) (*Entry, Status) { return t.AcquireHashed(k, k.Hash()) }
+
+// AcquireHashed implements Store: verified lookup, then placement. The
+// bucket pair is derived once per call from h and threaded through both
+// phases.
+//
+//splidt:hotpath
+func (t *Cuckoo) AcquireHashed(k flow.Key, h uint32) (*Entry, Status) {
+	b1, b2 := t.bucketPair(h)
 	if e := t.lookup(k, b1, b2); e != nil {
 		return e, StatusOwner
 	}
@@ -312,24 +341,32 @@ func (t *Cuckoo) Acquire(k flow.Key) (*Entry, Status) {
 	return nil, StatusFull
 }
 
-// inStash reports whether the entry pointer is a stash line.
+// cellOf returns the bucket cell index of a live entry, or -1 for a stash
+// line. A bucket resident sits in one of its two cached candidate buckets,
+// so at most 2×ways pointer compares find it.
 //
 //splidt:hotpath
-func (t *Cuckoo) inStash(e *Entry) bool {
-	for i := range t.stash {
-		if e == &t.stash[i] {
-			return true
+func (t *Cuckoo) cellOf(e *Entry) int {
+	for _, b := range [2]int32{e.hb1, e.hb2} {
+		base := int(b) * t.ways
+		for w := 0; w < t.ways; w++ {
+			if e == &t.entries[base+w] {
+				return base + w
+			}
 		}
 	}
-	return false
+	return -1
 }
 
-// Release implements Store; freeing a stash-resident entry frees its stash
-// line for the next overflow.
+// Release implements Store: a bucket cell's key line is cleared with it,
+// and freeing a stash-resident entry frees its stash line for the next
+// overflow.
 //
 //splidt:hotpath
 func (t *Cuckoo) Release(e *Entry) {
-	if t.inStash(e) {
+	if i := t.cellOf(e); i >= 0 {
+		t.keys[i] = flow.Key{}
+	} else {
 		t.stashed--
 	}
 	e.free()
@@ -341,7 +378,7 @@ func (t *Cuckoo) Release(e *Entry) {
 //
 //splidt:hotpath
 func (t *Cuckoo) Evict(k flow.Key) bool {
-	b1, b2 := t.bucketPair(k)
+	b1, b2 := t.bucketPair(k.Hash())
 	e := t.lookup(k, b1, b2)
 	if e == nil {
 		return false

@@ -23,20 +23,26 @@ func NewDirect(size int) *Direct {
 	return &Direct{entries: make([]Entry, size)}
 }
 
-// slotOf maps a canonical key onto its one slot — flow.Key.Index, the same
-// function the pipeline indexed registers with before the store existed.
+// slotOf maps a canonical key's register hash onto its one slot with
+// flow.IndexOf, the same function the pipeline indexed registers with
+// before the store existed.
 //
 //splidt:hotpath
-func (d *Direct) slotOf(k flow.Key) *Entry {
-	return &d.entries[k.Index(len(d.entries))]
+func (d *Direct) slotOf(h uint32) *Entry {
+	return &d.entries[flow.IndexOf(h, len(d.entries))]
 }
 
-// Acquire implements Store: claim an empty slot, recognise the owner, or
-// report a shared collision — never nil.
+// Acquire implements Store.
 //
 //splidt:hotpath
-func (d *Direct) Acquire(k flow.Key) (*Entry, Status) {
-	e := d.slotOf(k)
+func (d *Direct) Acquire(k flow.Key) (*Entry, Status) { return d.AcquireHashed(k, k.Hash()) }
+
+// AcquireHashed implements Store: claim an empty slot, recognise the owner,
+// or report a shared collision — never nil.
+//
+//splidt:hotpath
+func (d *Direct) AcquireHashed(k flow.Key, h uint32) (*Entry, Status) {
+	e := d.slotOf(h)
 	if e.SID == 0 {
 		e.key = k
 		e.timer.Data = e
@@ -61,7 +67,7 @@ func (d *Direct) Release(e *Entry) {
 //
 //splidt:hotpath
 func (d *Direct) Evict(k flow.Key) bool {
-	e := d.slotOf(k)
+	e := d.slotOf(k.Hash())
 	if e.SID == 0 || e.key != k {
 		return false
 	}

@@ -14,7 +14,10 @@
 //     its full key and lookups verify it, so flows never couple; inserts
 //     displace resident entries along a bounded breadth-first eviction path
 //     and overflow into the stash before giving up. Exactness extends from
-//     the collision-free regime to high load factors.
+//     the collision-free regime to high load factors. Keys also live in a
+//     dense key line beside the cells (16 bytes each, one 64-byte line per
+//     4-way bucket), so a probe reads one line per candidate bucket before
+//     it touches any Entry.
 //   - Oracle is an unbounded exact map — no real switch can build it, but it
 //     is the ground truth the equivalence tests compare the bounded schemes
 //     against.
@@ -24,6 +27,12 @@
 // resident flow, Release, Evict) never allocate; only Oracle
 // allocates on first-packet insert, which is why it is the test oracle and
 // not a deployment scheme.
+//
+// The flow hash is computed once, at ingest: packet sources stamp
+// pkt.Packet.ShardHash = flow.Mix64(CRC32 of the canonical key), and the
+// pipeline un-mixes it (flow.Unmix64) and hands the CRC to AcquireHashed,
+// so the per-packet path never rehashes the 5-tuple. Acquire(k) is
+// AcquireHashed(k, k.Hash()) for callers that hold only a key.
 //
 // Contract: Acquire claims an Entry for a canonical flow key. A fresh entry
 // is returned zeroed with its key recorded; the caller must set SID non-zero
@@ -163,6 +172,14 @@ type Store interface {
 	//
 	//splidt:hotpath
 	Acquire(k flow.Key) (*Entry, Status)
+	// AcquireHashed is Acquire with the key's register hash supplied by the
+	// caller: h must equal k.Hash(). The pipeline recovers it from the hash
+	// the packet source stamped at ingest (flow.Unmix64 of
+	// pkt.Packet.ShardHash), so the table indexes without recomputing the
+	// CRC. Acquire(k) is AcquireHashed(k, k.Hash()).
+	//
+	//splidt:hotpath
+	AcquireHashed(k flow.Key, h uint32) (*Entry, Status)
 	// Release frees an entry obtained from Acquire (flow end). The pointer
 	// must be one this store returned.
 	//

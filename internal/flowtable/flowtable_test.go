@@ -29,7 +29,7 @@ func findKey(t *testing.T, tab *Cuckoo, cursor *int, b1, b2 int) flow.Key {
 	t.Helper()
 	for ; *cursor < 1<<22; *cursor++ {
 		k := testKey(*cursor)
-		g1, g2 := tab.bucketPair(k)
+		g1, g2 := tab.bucketPair(k.Hash())
 		if g1 == b1 && g2 == b2 {
 			*cursor++
 			return k
@@ -37,6 +37,35 @@ func findKey(t *testing.T, tab *Cuckoo, cursor *int, b1, b2 int) flow.Key {
 	}
 	t.Fatalf("no key with bucket pair (%d, %d)", b1, b2)
 	return flow.Key{}
+}
+
+// inStash reports whether the entry pointer is a stash line.
+func (t *Cuckoo) inStash(e *Entry) bool {
+	for i := range t.stash {
+		if e == &t.stash[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// checkKeyLine pins the dense key line's coherence with the bucket cells:
+// every live cell's key line holds its entry's key and every free cell's
+// holds the zero key. Stash lines have no key line.
+func checkKeyLine(t testing.TB, c *Cuckoo) {
+	t.Helper()
+	if len(c.keys) != len(c.entries) {
+		t.Fatalf("key line has %d cells, table %d", len(c.keys), len(c.entries))
+	}
+	for i := range c.entries {
+		var want flow.Key
+		if c.entries[i].SID != 0 {
+			want = c.entries[i].key
+		}
+		if c.keys[i] != want {
+			t.Fatalf("cell %d (SID %d): key line %v, want %v", i, c.entries[i].SID, c.keys[i], want)
+		}
+	}
 }
 
 // activate claims an entry the way the pipeline does: Acquire then set a
@@ -98,6 +127,7 @@ func TestCuckooVerifiedEntriesNeverShare(t *testing.T) {
 			t.Fatalf("keys %v and %v share entry %p", prev, k, e)
 		}
 		entries[e] = k
+		checkKeyLine(t, c)
 	}
 	for _, k := range keys {
 		e, st := c.Acquire(k)
@@ -127,7 +157,9 @@ func TestCuckooKickDisplacesToAlternate(t *testing.T) {
 
 	er := activate(t, c, resident)
 	er.PktCount = 99 // state that must survive the move
+	checkKeyLine(t, c)
 	ei := activate(t, c, insister)
+	checkKeyLine(t, c) // the resident's key moved with it
 	if got := c.Stats().Kicks; got != 1 {
 		t.Fatalf("Kicks = %d, want 1", got)
 	}
@@ -157,7 +189,9 @@ func TestCuckooStashOverflowEvictReject(t *testing.T) {
 
 	activate(t, c, k1)
 	e2 := activate(t, c, k2) // no bucket way, no displacement path → stash
+	checkKeyLine(t, c)
 	e3 := activate(t, c, k3)
+	checkKeyLine(t, c)
 	st := c.Stats()
 	if st.StashInserts != 2 || st.Stashed != 2 || st.Occupied != 3 {
 		t.Fatalf("after overflow: %+v, want 2 stash inserts, 2 stashed, 3 occupied", st)
@@ -173,6 +207,7 @@ func TestCuckooStashOverflowEvictReject(t *testing.T) {
 	if got := c.Stats().Rejects; got != 1 {
 		t.Fatalf("Rejects = %d, want 1", got)
 	}
+	checkKeyLine(t, c)
 	// Rejection must not have perturbed resident flows.
 	for _, k := range []flow.Key{k1, k2, k3} {
 		if _, status := c.Acquire(k); status != StatusOwner {
@@ -184,6 +219,7 @@ func TestCuckooStashOverflowEvictReject(t *testing.T) {
 	if !c.Evict(k2) {
 		t.Fatal("stash-resident eviction failed")
 	}
+	checkKeyLine(t, c)
 	if st := c.Stats(); st.Stashed != 1 || st.Occupied != 2 {
 		t.Fatalf("after stash evict: %+v, want 1 stashed, 2 occupied", st)
 	}
@@ -191,9 +227,20 @@ func TestCuckooStashOverflowEvictReject(t *testing.T) {
 	if e4 := activate(t, c, k4); !c.inStash(e4) {
 		t.Fatal("freed stash line not reused")
 	}
+	checkKeyLine(t, c)
 	// Release (the flow-end path) frees a stash line just like Evict.
 	e3b, _ := c.Acquire(k3)
 	c.Release(e3b)
+	checkKeyLine(t, c)
+	// Evicting the bucket resident clears its key line.
+	if !c.Evict(k1) {
+		t.Fatal("bucket-resident eviction failed")
+	}
+	checkKeyLine(t, c)
+	if activate(t, c, k1) != &c.entries[0] {
+		t.Fatal("evicted bucket cell not reused")
+	}
+	checkKeyLine(t, c)
 	if st := c.Stats(); st.Stashed != 1 || st.Occupied != 2 {
 		t.Fatalf("after stash release: %+v, want 1 stashed, 2 occupied", st)
 	}
@@ -215,6 +262,7 @@ func TestCuckooStashDisabled(t *testing.T) {
 	a := findKey(t, c, &cursor, 0, 0)
 	b := findKey(t, c, &cursor, 0, 0)
 	activate(t, c, a)
+	checkKeyLine(t, c)
 	// b's only candidate bucket is full and unkickable (a's alternate is the
 	// same bucket); bucket 1 is still free, so this is the partial-table
 	// reject path, not the full-table short-circuit.
@@ -225,9 +273,11 @@ func TestCuckooStashDisabled(t *testing.T) {
 	if st.Rejects != 1 || st.StashInserts != 0 || st.Stashed != 0 {
 		t.Fatalf("stash-less reject stats: %+v", st)
 	}
+	checkKeyLine(t, c)
 	// A flow homed on the free bucket still places...
 	other := findKey(t, c, &cursor, 1, 1)
 	activate(t, c, other)
+	checkKeyLine(t, c)
 	// ...after which the table is truly full and the fast path rejects
 	// without searching.
 	if _, status := c.Acquire(findKey(t, c, &cursor, 0, 1)); status != StatusFull {
@@ -236,6 +286,7 @@ func TestCuckooStashDisabled(t *testing.T) {
 	if got := c.Stats().Rejects; got != 2 {
 		t.Fatalf("Rejects = %d, want 2", got)
 	}
+	checkKeyLine(t, c)
 }
 
 // expiryWheel builds a timer wheel whose expiries release the entry back to
@@ -261,6 +312,7 @@ func TestCuckooWheelExpiryFreesStashLines(t *testing.T) {
 		t.Fatal("setup: second flow did not land in the stash")
 	}
 	w.Schedule(stashed.Timer(), time.Second+idle)
+	checkKeyLine(t, c)
 
 	// Advance to where only the bucket resident is idle.
 	if got := w.Advance(idle); got != 1 {
@@ -269,6 +321,7 @@ func TestCuckooWheelExpiryFreesStashLines(t *testing.T) {
 	if st := c.Stats(); st.Stashed != 1 || st.Occupied != 1 {
 		t.Fatalf("after first expiry: %+v", st)
 	}
+	checkKeyLine(t, c) // the expired bucket cell's key line is cleared
 	// One second later the stash resident is idle too.
 	if got := w.Advance(idle + time.Second); got != 1 {
 		t.Fatalf("wheel expired %d, want 1 (stash resident)", got)
@@ -276,9 +329,12 @@ func TestCuckooWheelExpiryFreesStashLines(t *testing.T) {
 	if st := c.Stats(); st.Stashed != 0 || st.Occupied != 0 {
 		t.Fatalf("stash line leaked through wheel expiry: %+v", st)
 	}
+	checkKeyLine(t, c)
 	// The reclaimed line is usable again.
 	activate(t, c, testKey(3))
+	checkKeyLine(t, c)
 	activate(t, c, testKey(4))
+	checkKeyLine(t, c)
 	if c.Occupied() != 2 {
 		t.Fatalf("occupied = %d after refill, want 2", c.Occupied())
 	}
@@ -316,6 +372,7 @@ func TestCuckooChurnScanConsistency(t *testing.T) {
 			t.Fatalf("step %d: occupied %d / scan %d, want %d",
 				step, c.Occupied(), c.ScanOccupied(), len(live))
 		}
+		checkKeyLine(t, c)
 	}
 	// Every survivor is still found, with its own verified entry.
 	for k := range live {
@@ -355,6 +412,7 @@ func TestCuckooHighLoadFactorPlacesEverything(t *testing.T) {
 	if st.Kicks == 0 {
 		t.Fatal("a 0.94 load factor fill performed no displacements — kick path untested")
 	}
+	checkKeyLine(t, c)
 	for i := range idx {
 		if e, status := c.Acquire(testKey(i)); status != StatusOwner || e.Key() != testKey(i) {
 			t.Fatalf("flow %d lost after fill: %v", i, status)
@@ -437,7 +495,7 @@ func TestBucketHashMatchesDispatchHash(t *testing.T) {
 	c := NewCuckoo(CuckooConfig{Capacity: 4096, Ways: 4})
 	for i := 0; i < 2000; i++ {
 		k := testKey(i)
-		_, b2 := c.bucketPair(k)
+		_, b2 := c.bucketPair(k.Hash())
 		want := int(uint32(k.ShardHash()>>32) % uint32(c.Buckets()))
 		if b2 != want {
 			t.Fatalf("key %v: b2 = %d, want %d (mix64 drifted from flow.Key.ShardHash)", k, b2, want)

@@ -19,8 +19,12 @@ func NewOracle() *Oracle {
 	return &Oracle{flows: make(map[flow.Key]*Entry)}
 }
 
-// Acquire implements Store: always Owner or Fresh, never Shared or Full.
-func (o *Oracle) Acquire(k flow.Key) (*Entry, Status) {
+// Acquire implements Store.
+func (o *Oracle) Acquire(k flow.Key) (*Entry, Status) { return o.AcquireHashed(k, k.Hash()) }
+
+// AcquireHashed implements Store: always Owner or Fresh, never Shared or
+// Full. The map hashes the key itself, so h is unused.
+func (o *Oracle) AcquireHashed(k flow.Key, _ uint32) (*Entry, Status) {
 	if e, ok := o.flows[k]; ok {
 		return e, StatusOwner
 	}

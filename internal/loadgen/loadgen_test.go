@@ -91,6 +91,9 @@ func TestChurnSteadyPopulation(t *testing.T) {
 		if p.ShardHash != p.Key.ShardHash() {
 			t.Fatal("dispatch hash not precomputed correctly")
 		}
+		if uint32(flow.Unmix64(p.ShardHash)) != k.Hash() {
+			t.Fatal("dispatch hash does not un-mix to the register hash")
+		}
 		f := live[k]
 		if p.Flags&pkt.FlagSYN != 0 {
 			if p.Seq != 1 {

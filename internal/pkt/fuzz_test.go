@@ -66,15 +66,17 @@ func FuzzRecordStream(f *testing.F) {
 				return
 			}
 			// Round trip: the decoded packet re-marshals to a frame that
-			// parses back identically. ShardHash is record metadata, not
-			// frame bytes — an arbitrary stream may carry any value there
-			// (zero is backfilled), so it is excluded from the comparison.
+			// parses back identically. An arbitrary stream may carry any
+			// value in the recorded dispatch hash; the decoded packet must
+			// carry its key's own hash regardless, since the flow table
+			// indexes by it.
 			again, err := Unmarshal(Marshal(p, nil), p.TS)
 			if err != nil {
 				t.Fatalf("re-parse of decoded packet failed: %v", err)
 			}
-			if p.ShardHash == 0 {
-				t.Fatal("decoded packet left ShardHash unset")
+			if p.ShardHash != p.Key.ShardHash() {
+				t.Fatalf("decoded packet carries dispatch hash %#x, want the key's %#x",
+					p.ShardHash, p.Key.ShardHash())
 			}
 			again.ShardHash = p.ShardHash
 			if again != p {

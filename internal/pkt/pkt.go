@@ -82,9 +82,15 @@ type Packet struct {
 	// ShardHash is the flow's precomputed dispatch hash
 	// (flow.Key.ShardHash), carried on every packet so the engine's serial
 	// dispatch stage does no hashing. It is direction-symmetric: both
-	// directions of a conversation carry the same value. Zero means unset;
-	// Shard falls back to computing it from Key, so hand-built packets stay
-	// valid.
+	// directions of a conversation carry the same value. It must be 0 or
+	// exactly Key.ShardHash(). Zero means unset: Shard and the pipeline
+	// fall back to hashing Key, so hand-built packets stay valid.
+	//
+	// It also indexes the flow table: the dispatch hash is flow.Mix64 of
+	// the canonical key's CRC32, so the pipeline un-mixes it
+	// (flow.Unmix64) into the table's register hash instead of rehashing
+	// the key per packet. A stale or foreign value would send the packet
+	// to the wrong register slot or cuckoo bucket.
 	ShardHash uint64
 }
 

@@ -31,9 +31,9 @@ const (
 	// magic(4) version(2) reserved(2).
 	RecordFileHeaderBytes = 8
 	// recordHdrBytes is the per-record header: ts-nanos(8) dispatch-hash(8)
-	// frame-len(4). The dispatch hash is capture metadata, like the
-	// timestamp: recording it costs 8 bytes per record and lets replay skip
-	// the per-packet key hash — the hot 60% of a decode otherwise.
+	// frame-len(4). The dispatch hash is capture metadata for other tools;
+	// RecordReader does not trust it (see Next) and recomputes it from the
+	// frame's key.
 	recordHdrBytes = 20
 	// MaxFrameBytes bounds a record's frame length — far above any frame
 	// the codec writes, and low enough that a corrupt (or adversarial)
@@ -77,8 +77,7 @@ func NewRecordWriter(w io.Writer) (*RecordWriter, error) {
 
 // WritePacket appends one data packet as a record. The packet's TS becomes
 // the record's capture timestamp, and its dispatch hash (computed here if
-// the source didn't stamp one) is recorded alongside so replay never
-// rehashes.
+// the source didn't stamp one) is recorded alongside as capture metadata.
 func (rw *RecordWriter) WritePacket(p Packet) error {
 	rw.frame = Marshal(p, rw.frame)
 	h := p.ShardHash
@@ -120,10 +119,9 @@ func (rw *RecordWriter) Flush() error { return rw.w.Flush() }
 // RecordReader streams packets out of a record file. Construct with
 // NewRecordReader. Next yields data packets only, silently skipping
 // control and foreign frames (counted by Skipped); every yielded packet
-// carries its record's capture timestamp and a precomputed dispatch hash,
-// so it is ready for the engine's feed path with no further per-packet
-// work. The read path reuses one frame buffer and allocates nothing per
-// record.
+// carries its record's capture timestamp and its key's dispatch hash, so it
+// is ready for the engine's feed path with no further per-packet work. The
+// read path reuses one frame buffer and allocates nothing per record.
 type RecordReader struct {
 	r       *bufio.Reader
 	frame   []byte
@@ -177,7 +175,6 @@ func (rr *RecordReader) Next() (Packet, error) {
 			rec := recordHdrBytes + int(n)
 			if buf, err = rr.r.Peek(rec); err == nil {
 				ts = time.Duration(binary.BigEndian.Uint64(buf[0:8]))
-				hash := binary.BigEndian.Uint64(buf[8:16])
 				frame = buf[recordHdrBytes:rec]
 				p, err := Unmarshal(frame, ts)
 				rr.r.Discard(rec)
@@ -188,14 +185,11 @@ func (rr *RecordReader) Next() (Packet, error) {
 					}
 					return Packet{}, err
 				}
-				// The recorded dispatch hash makes the packet feed-ready with
-				// no further per-packet work — parity with the in-memory
-				// generators, which stamp it at flow birth. A recording
-				// without one (foreign tooling) is backfilled here.
-				if hash == 0 {
-					hash = p.Key.ShardHash()
-				}
-				p.ShardHash = hash
+				// The dispatch hash also indexes the flow table
+				// (Packet.ShardHash), so a stream — outside input — cannot
+				// supply it: the recorded value is ignored and the key's own
+				// hash stamped, parity with the in-memory generators.
+				p.ShardHash = p.Key.ShardHash()
 				rr.pkts++
 				return p, nil
 			} else if err == io.ErrUnexpectedEOF || err == io.EOF {
@@ -223,7 +217,6 @@ func (rr *RecordReader) Next() (Packet, error) {
 			return Packet{}, err // io.EOF: clean end of stream
 		}
 		ts = time.Duration(binary.BigEndian.Uint64(rr.hdr[0:8]))
-		hash := binary.BigEndian.Uint64(rr.hdr[8:16])
 		n := binary.BigEndian.Uint32(rr.hdr[16:20])
 		if n > MaxFrameBytes {
 			return Packet{}, ErrFrameTooLarge
@@ -247,10 +240,7 @@ func (rr *RecordReader) Next() (Packet, error) {
 			}
 			return Packet{}, err
 		}
-		if hash == 0 {
-			hash = p.Key.ShardHash()
-		}
-		p.ShardHash = hash
+		p.ShardHash = p.Key.ShardHash()
 		rr.pkts++
 		return p, nil
 	}

@@ -63,6 +63,9 @@ func TestRecordRoundTrip(t *testing.T) {
 		if p != want {
 			t.Fatalf("record %d: got %+v want %+v", i, p, want)
 		}
+		if uint32(flow.Unmix64(p.ShardHash)) != p.Key.Canonical().Hash() {
+			t.Fatalf("record %d: dispatch hash does not un-mix to the register hash", i)
+		}
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("end of stream: got %v, want io.EOF", err)

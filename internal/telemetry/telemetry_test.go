@@ -81,17 +81,26 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 // settle waits until the session has accounted for every fed packet
-// (processed, dropped, quarantine-drained, or discarded).
+// (processed, dropped, quarantine-drained, or discarded) and no shard reads
+// degraded. Under CPU contention the watchdog can flag a shard degraded
+// while its ring is still backed up; the counts may balance before the
+// watchdog's next tick observes the progress and flips it back to running.
+// Quarantine is terminal, so a quarantined shard does not hold settle up.
 func settle(t *testing.T, s *engine.Session) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		snap := s.Snapshot()
-		if int64(snap.Stats.Packets)+snap.Dropped+snap.QuarantineDropped+snap.DiscardedStaged == snap.Fed {
+		balanced := int64(snap.Stats.Packets)+snap.Dropped+snap.QuarantineDropped+snap.DiscardedStaged == snap.Fed
+		degraded := false
+		for _, sh := range s.Health().Shards {
+			degraded = degraded || sh.State == engine.ShardDegraded
+		}
+		if balanced && !degraded {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("session did not settle: %+v", snap)
+			t.Fatalf("session did not settle (degraded shard: %v): %+v", degraded, snap)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"testing"
+
+	"splidt/internal/flow"
 )
 
 // TestCollidingHitsTargetIndices: every engineered flow must land on one of
@@ -73,6 +75,9 @@ func TestCollidingPreservesFlowBodies(t *testing.T) {
 			}
 			if cp.ShardHash != c.Key.ShardHash() {
 				t.Fatalf("flow %d packet %d: stale dispatch hash", i, j)
+			}
+			if uint32(flow.Unmix64(cp.ShardHash)) != cp.Key.Canonical().Hash() {
+				t.Fatalf("flow %d packet %d: dispatch hash does not un-mix to the register hash", i, j)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"splidt/internal/features"
+	"splidt/internal/flow"
 )
 
 func TestSpecsCover(t *testing.T) {
@@ -268,6 +269,9 @@ func TestGeneratedPacketsCarryShardHash(t *testing.T) {
 			if p.ShardHash != want {
 				t.Fatalf("flow %v: packet %d carries hash %d, want %d (dir reversed=%v)",
 					f.Key, p.Seq, p.ShardHash, want, p.Key != f.Key)
+			}
+			if uint32(flow.Unmix64(p.ShardHash)) != p.Key.Canonical().Hash() {
+				t.Fatalf("flow %v: packet %d hash does not un-mix to the register hash", f.Key, p.Seq)
 			}
 			if p.Shard(8) != f.Key.Shard(8) {
 				t.Fatalf("flow %v: packet %d shards to %d, flow shards to %d",
