@@ -469,7 +469,7 @@ func allocProbes() []allocProbe {
 		{
 			name: "engine-rings",
 			covers: ids("engine",
-				"spscRing.tryPush", "spscRing.tryPop", "mpscRing.tryPush", "mpscRing.tryPop",
+				"spscRing.tryPush", "spscRing.tryPop", "mpscRing.enqueue", "mpscRing.tryPop",
 				"shardState.pendingDeploy"),
 			setup: func(t *testing.T) func() { return engine.RingAllocProbe() },
 		},

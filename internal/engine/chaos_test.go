@@ -23,13 +23,24 @@ import (
 )
 
 // settleSession waits until every fed packet is accounted for: processed,
-// dropped by the block filter, or drained by a quarantined shard.
+// dropped by the block filter, or drained by a quarantined shard. It also
+// waits until no shard reads degraded: a shard the watchdog flagged while
+// its backlog drained recovers only at the watchdog's next tick, after the
+// counts already balance.
 func settleSession(t *testing.T, s *Session) Snapshot {
 	t.Helper()
 	var snap Snapshot
 	waitFor(t, func() bool {
 		snap = s.Snapshot()
-		return int64(snap.Stats.Packets)+snap.Dropped+snap.QuarantineDropped+snap.DiscardedStaged == snap.Fed
+		if int64(snap.Stats.Packets)+snap.Dropped+snap.QuarantineDropped+snap.DiscardedStaged != snap.Fed {
+			return false
+		}
+		for _, sh := range s.Health().Shards {
+			if sh.State == ShardDegraded {
+				return false
+			}
+		}
+		return true
 	})
 	return snap
 }
@@ -246,8 +257,9 @@ func TestShutdownDeadline(t *testing.T) {
 	}
 	// Feed only as much as the stuck shard can absorb (its input ring plus
 	// the feeder's staging pool). Backpressure is deliberately unbounded —
-	// FeedAll against a permanently wedged worker spins forever — so the
-	// bounded thing under test here is shutdown, not feeding.
+	// FeedAll against a permanently wedged worker waits until Close gives
+	// up on it (TestFeedAllWakesOnShutdownTimeout) — so the bounded thing
+	// under test here is shutdown, not feeding.
 	pkts := trace.Interleave(trace.Generate(trace.D3, 20, eqSeed), eqSpacing)[:40]
 	if err := s.FeedAll(pkts); err != nil {
 		t.Fatal(err)

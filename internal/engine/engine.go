@@ -25,6 +25,16 @@
 // from a monotone packet-time clock — so long-lived sessions reclaim slots
 // of blocked and dead flows instead of leaking them (Stats.Evictions).
 //
+// Nothing at the feeder↔worker hand-off polls. A worker that finds its ring
+// empty raises the ring's parked flag, re-checks for work, and sleeps on a
+// one-token wake channel; whatever gives it work — a push into the ring, an
+// eviction, a Redeploy, shutdown — publishes that work first and then sends
+// the token if the flag is up. A FeedAll refused because a shard's ring is
+// full, or because its own free ring for that shard is empty, sleeps the
+// same way until that shard's worker returns a burst home (or the session
+// closes). Snapshot.Backpressure still counts every refused Feed; FeedAll
+// simply retries only after a wake. Bare Feed never blocks.
+//
 // Engine.Run remains as a thin batch wrapper over Start/Feed/Close: it
 // drains a Source through a session and returns the merged Result, with a
 // digest stream multiset-identical to what the streaming path emits.
@@ -249,6 +259,7 @@ func (s *shardState) evict(k flow.Key) {
 	s.evictQ = append(s.evictQ, k)
 	s.evictMu.Unlock()
 	s.evictN.Add(1)
+	s.in.wakeConsumer()
 }
 
 // drainEvictions applies every queued eviction to the shard's pipeline.
@@ -441,7 +452,6 @@ func (e *Engine) Run(src Source) (*Result, error) {
 //splidt:packettime — ageing sweeps advance on burst packet timestamps; the
 func (s *shardState) work(sess *Session, shard int) {
 	defer sess.wg.Done()
-	idle := 0
 	for {
 		b, ok := s.in.tryPop()
 		if !ok {
@@ -464,17 +474,13 @@ func (s *shardState) work(sess *Session, shard int) {
 				if s.drainEvictions() > 0 {
 					s.publish()
 				}
-				// Spin briefly, then sleep: a live session can sit idle for
-				// long stretches and must not burn a core per shard.
-				if idle++; idle > idleSpins {
-					time.Sleep(idleSleep)
-				} else {
-					runtime.Gosched()
-				}
+				// Nothing to do: sleep until a push, an eviction, a
+				// redeploy or shutdown wakes the worker, instead of
+				// burning a core the feeders could use.
+				s.in.park(s.hasWork)
 				continue
 			}
 		}
-		idle = 0
 		if s.hold != nil {
 			<-s.hold
 		}
@@ -522,8 +528,7 @@ func (s *shardState) processBurst(sess *Session, shard int, b *burst) (ok bool) 
 			sess.recordFault(&ShardPanicError{Shard: shard, Value: r, Stack: debug.Stack(), Postmortem: pm})
 			s.health.Store(int32(ShardQuarantined))
 			s.quarDrops.Add(dropped)
-			b.pkts = b.pkts[:0]
-			b.home.push(b)
+			s.recycle(b)
 			s.publish()
 		}
 	}()
@@ -580,8 +585,7 @@ func (s *shardState) processBurst(sess *Session, shard int, b *burst) (ok bool) 
 			s.rec.Record(flight.KindSweep, s.sweepNow, int64(reclaimed), 0)
 		}
 	}
-	b.pkts = b.pkts[:0]
-	b.home.push(b)
+	s.recycle(b)
 	s.lastTS.Store(int64(s.sweepNow))
 	s.progress.Add(1)
 	s.publish()
@@ -598,7 +602,6 @@ func (s *shardState) processBurst(sess *Session, shard int, b *burst) (ok bool) 
 // session signals done and the ring is empty, completing the worker's
 // wg contribution so Close still drains cleanly.
 func (s *shardState) quarantine() {
-	idle := 0
 	for {
 		b, ok := s.in.tryPop()
 		if !ok {
@@ -607,19 +610,36 @@ func (s *shardState) quarantine() {
 					return
 				}
 			} else {
-				if idle++; idle > idleSpins {
-					time.Sleep(idleSleep)
-				} else {
-					runtime.Gosched()
-				}
+				// Only a burst or shutdown ends the wait: a quarantined
+				// shard never adopts or evicts, so waking for those would
+				// only re-park.
+				s.in.park(s.drainable)
 				continue
 			}
 		}
-		idle = 0
 		s.quarDrops.Add(int64(len(b.pkts)))
-		b.pkts = b.pkts[:0]
-		b.home.push(b)
+		s.recycle(b)
 	}
+}
+
+// recycle empties a consumed burst, returns it to its owning feeder's free
+// ring and wakes a feeder blocked on this shard. Worker only.
+func (s *shardState) recycle(b *burst) {
+	b.pkts = b.pkts[:0]
+	b.home.push(b)
+	s.in.recycled()
+}
+
+// drainable reports whether the worker has ring work: a published burst, or
+// shutdown. Worker only.
+func (s *shardState) drainable() bool {
+	return s.in.ready() || s.done.Load()
+}
+
+// hasWork reports whether an idle worker has anything to do: ring work, a
+// pending deployment, or queued evictions. Worker only.
+func (s *shardState) hasWork() bool {
+	return s.drainable() || s.pendingDep.Load() != nil || s.evictN.Load() > 0
 }
 
 // adopt swaps the pending deployment into the shard's replica — the
@@ -644,11 +664,6 @@ func (s *shardState) adopt(dep *deployment) {
 func (s *shardState) pendingDeploy() *deployment {
 	return s.pendingDep.Load()
 }
-
-const (
-	idleSpins = 256
-	idleSleep = 100 * time.Microsecond
-)
 
 // publish refreshes the shard's observable snapshot; all fields are O(1)
 // reads off the pipeline.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -113,10 +114,17 @@ func newBurstPool(nShards int, cfg Config) []*spscRing {
 // on; blocked drops are published after the Fed add, so Fed also never
 // trails Dropped.
 func (f *Feeder) Feed(pkts []pkt.Packet) (int, error) {
+	n, _, err := f.feed(pkts)
+	return n, err
+}
+
+// feed is Feed that also reports, with ErrBackpressure, the shard that
+// refused the packet it stopped at — what FeedAll waits on.
+func (f *Feeder) feed(pkts []pkt.Packet) (int, int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return 0, ErrFeederClosed
+		return 0, 0, ErrFeederClosed
 	}
 	s := f.s
 	n := len(s.e.shards)
@@ -146,7 +154,7 @@ func (f *Feeder) Feed(pkts []pkt.Packet) (int, error) {
 			if !f.tryPush(si, cur) {
 				s.backpressure.Add(1)
 				f.flushStaged()
-				return i, ErrBackpressure
+				return i, si, ErrBackpressure
 			}
 			f.cur[si] = nil
 			cur = nil
@@ -157,7 +165,7 @@ func (f *Feeder) Feed(pkts []pkt.Packet) (int, error) {
 				publish()
 				s.backpressure.Add(1)
 				f.flushStaged()
-				return i, ErrBackpressure
+				return i, si, ErrBackpressure
 			}
 			f.cur[si] = b
 			cur = b
@@ -167,7 +175,7 @@ func (f *Feeder) Feed(pkts []pkt.Packet) (int, error) {
 	}
 	publish()
 	f.flushStaged()
-	return len(pkts), nil
+	return len(pkts), 0, nil
 }
 
 // flushStaged hands partial bursts to the workers, best-effort, so a
@@ -222,36 +230,40 @@ func (f *Feeder) tryPush(si int, b *burst) bool {
 // expires this.
 func (f *Feeder) pushDeadline(si int, b *burst, deadline time.Time) {
 	in := f.s.e.shards[si].in
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
 	for !in.tryPush(b) {
-		if time.Now().After(deadline) {
+		if ctx.Err() != nil {
 			f.s.discarded.Add(int64(len(b.pkts)))
 			return
 		}
-		runtime.Gosched()
+		in.awaitRecycle(nil, ctx.Done())
 	}
 }
 
-// FeedAll feeds the whole slice, yielding through backpressure until every
+// FeedAll feeds the whole slice, waiting out backpressure until every
 // packet is accepted and handed to the workers — unlike bare Feed it does
-// not leave a trailing partial burst staged. Any error other than
+// not leave a trailing partial burst staged. A refused Feed parks the
+// caller until the refusing shard's worker recycles a burst (or the session
+// closes) rather than retrying on a poll. Any error other than
 // ErrBackpressure aborts the loop and is returned; a concurrent close takes
 // over delivery of anything still staged, and FeedAll then returns nil for
 // the already-accepted packets exactly as Session.FeedAll always has.
 func (f *Feeder) FeedAll(pkts []pkt.Packet) error {
 	off := 0
 	for off < len(pkts) {
-		n, err := f.Feed(pkts[off:])
+		n, si, err := f.feed(pkts[off:])
 		off += n
 		switch err {
 		case nil:
 		case ErrBackpressure:
-			runtime.Gosched()
+			f.await(si, f.free[si])
 		default:
 			return err
 		}
 	}
 	// Guaranteed trailing flush: Feed's end-of-call flush is best-effort,
-	// so spin until no shard holds a staged non-empty burst.
+	// so wait out full rings until no shard holds a staged non-empty burst.
 	for {
 		f.mu.Lock()
 		if f.closed {
@@ -259,23 +271,35 @@ func (f *Feeder) FeedAll(pkts []pkt.Packet) error {
 			return nil
 		}
 		f.flushStaged()
-		staged := false
-		for _, b := range f.cur {
+		staged := -1
+		for i, b := range f.cur {
 			if b != nil && len(b.pkts) > 0 {
-				staged = true
+				staged = i
 				break
 			}
 		}
 		f.mu.Unlock()
-		if !staged {
+		if staged < 0 {
 			return nil
 		}
+		f.await(staged, nil)
+	}
+}
+
+// await blocks until shard si's worker recycles a burst or the session
+// closes, if that shard is still what holds the feeder up: its input ring
+// is full, or free (this feeder's free ring for it; nil to ignore) is
+// empty. A refusal with neither, which only an injected PushRefuse makes,
+// yields instead. Called without f.mu held, so shutdown can seal the
+// feeder meanwhile.
+func (f *Feeder) await(si int, free *spscRing) {
+	if !f.s.e.shards[si].in.awaitRecycle(free, f.s.watchStop) {
 		runtime.Gosched()
 	}
 }
 
-// FeedSource drains a Source through the feeder in staged chunks, yielding
-// through backpressure.
+// FeedSource drains a Source through the feeder in staged chunks, waiting
+// out backpressure.
 func (f *Feeder) FeedSource(src Source) error {
 	chunk := make([]pkt.Packet, 0, runChunk)
 	for {

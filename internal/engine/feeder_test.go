@@ -272,9 +272,16 @@ func TestFeederFlushRotation(t *testing.T) {
 		f.cur[i] = b
 	}
 	// Wedge shard 0: fill its input ring with filler bursts that recycle to
-	// a throwaway home ring (the gated worker drains them later).
+	// a throwaway home ring (the gated worker drains them later). The first
+	// push wakes the worker, which takes one filler and stops at the hold
+	// gate; wait for that, then refill the slot it freed, so the ring stays
+	// full however the worker was scheduled.
 	dummy := newRing(8)
-	for e.shards[0].in.tryPush(&burst{home: dummy}) {
+	in := e.shards[0].in
+	for in.tryPush(&burst{home: dummy}) {
+	}
+	waitFor(t, func() bool { return in.pops.Load() == 1 })
+	for in.tryPush(&burst{home: dummy}) {
 	}
 	for i := 0; i < len(f.cur); i++ {
 		f.flushStaged()

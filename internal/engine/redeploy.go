@@ -67,6 +67,7 @@ func (s *Session) Redeploy(m *core.Model, c *rangemark.Compiled) (uint64, error)
 	dep := &deployment{model: m, compiled: c, epoch: s.e.deployEpoch.Add(1)}
 	for _, sh := range s.e.shards {
 		sh.pendingDep.Store(dep)
+		sh.in.wakeConsumer()
 	}
 	deadline := time.Now().Add(s.e.cfg.ShutdownTimeout)
 	for {

@@ -81,6 +81,11 @@ func (r *spscRing) tryPop() (*burst, bool) {
 	return b, true
 }
 
+// empty reports whether the ring holds no burst. Safe from any goroutine.
+func (r *spscRing) empty() bool {
+	return r.head.Load() == r.tail.Load()
+}
+
 // push spins until b fits. Backpressure: a full ring means the worker is
 // behind, so the producer yields its timeslice rather than busy-burning.
 func (r *spscRing) push(b *burst) {
@@ -125,6 +130,21 @@ type mpscRing struct {
 	// consumer-private head. One extra atomic store per pop, no contention.
 	pops atomic.Uint64
 	_    [64]byte
+
+	// Parked hand-off, both directions. The consumer raises parked, re-checks
+	// for work and only then blocks on wake; every producer of consumer work
+	// publishes it first and then sends wake a token if parked is up. Feeders
+	// the shard holds up (ring full, or their free ring for it empty) count
+	// themselves in waiters, re-check, and block on room; the consumer sends
+	// room a token after every burst it returns home while waiters > 0.
+	// sync/atomic is sequentially consistent, so flag-then-recheck on one
+	// side against publish-then-load-flag on the other cannot lose a wake.
+	// Both channels hold one token: a token sent to nobody makes the next
+	// wait return at once and re-check, which costs one spurious loop.
+	parked  atomic.Bool
+	wake    chan struct{}
+	waiters atomic.Int32
+	room    chan struct{}
 }
 
 // newMPSCRing builds a ring with capacity rounded up to a power of two
@@ -135,18 +155,35 @@ func newMPSCRing(capacity int) *mpscRing {
 	for n < capacity {
 		n <<= 1
 	}
-	r := &mpscRing{slots: make([]mpscSlot, n), mask: uint64(n - 1)}
+	r := &mpscRing{
+		slots: make([]mpscSlot, n),
+		mask:  uint64(n - 1),
+		wake:  make(chan struct{}, 1),
+		room:  make(chan struct{}, 1),
+	}
 	for i := range r.slots {
 		r.slots[i].seq.Store(uint64(i))
 	}
 	return r
 }
 
-// tryPush enqueues b, reporting false when the ring is full. Safe from any
+// tryPush enqueues b, reporting false when the ring is full, and wakes the
+// consumer if it is parked. Every producer pushes through here, so no
+// enqueue can land behind a consumer that has gone to sleep. Safe from any
 // number of concurrent producers.
+func (r *mpscRing) tryPush(b *burst) bool {
+	if !r.enqueue(b) {
+		return false
+	}
+	r.wakeConsumer()
+	return true
+}
+
+// enqueue is tryPush without the wake: the lock-free slot reservation and
+// publish.
 //
 //splidt:hotpath
-func (r *mpscRing) tryPush(b *burst) bool {
+func (r *mpscRing) enqueue(b *burst) bool {
 	for {
 		tail := r.tail.Load()
 		s := &r.slots[tail&r.mask]
@@ -208,4 +245,77 @@ func (r *mpscRing) push(b *burst) {
 	for !r.tryPush(b) {
 		runtime.Gosched()
 	}
+}
+
+// ready reports whether the next slot's burst is published, so a tryPop
+// would succeed. Consumer only.
+func (r *mpscRing) ready() bool {
+	return r.slots[r.head&r.mask].seq.Load() == r.head+1
+}
+
+// full reports whether every slot is reserved: a tryPush now would fail.
+// Safe from any goroutine. pops is stored after the slot's release, so a
+// slot counted as popped here is already free for the next lap.
+func (r *mpscRing) full() bool {
+	return r.tail.Load()-r.pops.Load() >= uint64(len(r.slots))
+}
+
+// wakeConsumer hands a parked consumer its wake token. The caller must have
+// published the work the consumer is woken for (a burst, a done flag, a
+// pending deployment, an eviction) before calling it. Never blocks; costs
+// one atomic load while the consumer is awake.
+func (r *mpscRing) wakeConsumer() {
+	if r.parked.Load() {
+		select {
+		case r.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// park blocks the consumer until a producer wakes it, unless busy — checked
+// after the parked flag is up — finds work already waiting. The consumer
+// re-checks its queues after park returns either way.
+func (r *mpscRing) park(busy func() bool) {
+	r.parked.Store(true)
+	if !busy() {
+		<-r.wake
+	}
+	r.parked.Store(false)
+}
+
+// recycled tells feeders blocked on this ring that the consumer has freed a
+// slot and returned a burst home. Consumer only, after the home push; costs
+// one atomic load while no feeder waits.
+func (r *mpscRing) recycled() {
+	if r.waiters.Load() > 0 {
+		select {
+		case r.room <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// awaitRecycle blocks a producer until the consumer recycles a burst or stop
+// closes, provided the ring still holds the producer up: it is full, or free
+// (the producer's own free ring for this shard; nil to ignore) is empty.
+// Either way a burst sits in the ring or in the consumer's hands, so a
+// recycle, and with it a room token, is on its way. Returns false without
+// blocking when neither holds.
+//
+// With several producers blocked, one token wakes one of them. Nothing is
+// lost: the woken producer pushes into this ring (its first unplaceable
+// packet belongs here) or finds it full again, so either way more recycles,
+// and more tokens, follow until every waiter has run.
+func (r *mpscRing) awaitRecycle(free *spscRing, stop <-chan struct{}) bool {
+	r.waiters.Add(1)
+	defer r.waiters.Add(-1)
+	if !r.full() && (free == nil || !free.empty()) {
+		return false
+	}
+	select {
+	case <-r.room:
+	case <-stop:
+	}
+	return true
 }

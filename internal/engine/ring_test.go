@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"splidt/internal/pkt"
 )
@@ -158,4 +161,93 @@ func TestRingSPSCStress(t *testing.T) {
 		r.push(&burst{pkts: []pkt.Packet{{Seq: i}}})
 	}
 	wg.Wait()
+}
+
+// TestRingParkWakeStress hunts lost wakeups in the parked hand-off. Several
+// producers with random pauses push into a 2-slot ring whose consumer parks
+// whenever it finds the ring empty; each producer blocks in awaitRecycle
+// whenever the ring is full or its own 2-burst free ring is empty. Every
+// burst must arrive, in per-producer order, before the deadline: a lost
+// wake leaves the consumer or a producer asleep with work pending.
+func TestRingParkWakeStress(t *testing.T) {
+	const (
+		producers = 4
+		perProd   = 3_000
+	)
+	r := newMPSCRing(2)
+	stop := make(chan struct{})
+	var quit atomic.Bool
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		free := newRing(2)
+		for i := 0; i < 2; i++ {
+			free.push(&burst{pkts: make([]pkt.Packet, 1), home: free})
+		}
+		wg.Add(1)
+		go func(p int, free *spscRing) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(p)))
+			for i := 0; i < perProd; i++ {
+				b, ok := free.tryPop()
+				for !ok {
+					if quit.Load() {
+						return
+					}
+					r.awaitRecycle(free, stop)
+					b, ok = free.tryPop()
+				}
+				b.pkts[0] = pkt.Packet{Seq: p, FlowSize: i}
+				for !r.tryPush(b) {
+					if quit.Load() {
+						return
+					}
+					r.awaitRecycle(nil, stop)
+				}
+				if rng.Intn(32) == 0 {
+					time.Sleep(time.Duration(rng.Intn(20)) * time.Microsecond)
+				}
+			}
+		}(p, free)
+	}
+
+	consumed := make(chan int, 1)
+	go func() {
+		rng := rand.New(rand.NewSource(producers))
+		busy := func() bool { return r.ready() || quit.Load() }
+		next := make([]int, producers)
+		got := 0
+		for got < producers*perProd && !quit.Load() {
+			b, ok := r.tryPop()
+			if !ok {
+				r.park(busy)
+				continue
+			}
+			prod, seq := b.pkts[0].Seq, b.pkts[0].FlowSize
+			if seq != next[prod] {
+				t.Errorf("producer %d out of order: got %d, want %d", prod, seq, next[prod])
+			}
+			next[prod] = seq + 1
+			got++
+			b.home.push(b)
+			r.recycled()
+			if rng.Intn(32) == 0 {
+				time.Sleep(time.Duration(rng.Intn(20)) * time.Microsecond)
+			}
+		}
+		consumed <- got
+	}()
+
+	select {
+	case got := <-consumed:
+		if got != producers*perProd {
+			t.Fatalf("consumer saw %d bursts, want %d", got, producers*perProd)
+		}
+		wg.Wait()
+	case <-time.After(30 * time.Second):
+		quit.Store(true)
+		close(stop)
+		r.wakeConsumer()
+		t.Fatalf("hand-off stalled: lost wakeup (ring backlog %d, waiters %d, consumer parked %v)",
+			r.backlog(), r.waiters.Load(), r.parked.Load())
+	}
 }

@@ -48,7 +48,10 @@ type Snapshot struct {
 	// at the dispatch stage, or at a worker for packets that were already
 	// queued when the verdict landed.
 	Dropped int64
-	// Backpressure counts Feed calls that returned ErrBackpressure.
+	// Backpressure counts Feed calls that returned ErrBackpressure,
+	// including those FeedAll makes. FeedAll retries only after the
+	// refusing shard wakes it, so under FeedAll this counts waits, not
+	// polls.
 	Backpressure int64
 	// BlockedFlows is the current size of the drop filter.
 	BlockedFlows int
@@ -294,12 +297,14 @@ func (s *Session) Feed(pkts []pkt.Packet) (int, error) {
 	return n, err
 }
 
-// FeedAll feeds the whole slice, yielding through backpressure until every
+// FeedAll feeds the whole slice, waiting out backpressure until every
 // packet is accepted and handed to the workers — unlike bare Feed it does
 // not leave a trailing partial burst staged, so "FeedAll returned" means
-// the workers will process every packet without further calls. Any error
-// other than ErrBackpressure aborts the loop and is returned. Callers that
-// would rather shed load than wait use Feed directly.
+// the workers will process every packet without further calls. While a
+// shard holds it up, FeedAll sleeps until that shard's worker returns a
+// burst (or the session closes) instead of polling. Any error other than
+// ErrBackpressure aborts the loop and is returned. Callers that would
+// rather shed load than wait use Feed directly.
 func (s *Session) FeedAll(pkts []pkt.Packet) error {
 	err := s.def.FeedAll(pkts)
 	if err == ErrFeederClosed {
@@ -309,7 +314,7 @@ func (s *Session) FeedAll(pkts []pkt.Packet) error {
 }
 
 // FeedSource drains a Source through the session in staged chunks,
-// yielding through backpressure — the one home for the pull-stage-FeedAll
+// waiting out backpressure — the one home for the pull-stage-FeedAll
 // loop Run, the CLI, and the examples all need.
 func (s *Session) FeedSource(src Source) error {
 	err := s.def.FeedSource(src)
@@ -522,6 +527,7 @@ func (s *Session) shutdown(flush bool, cause error) {
 		// and then finds its ring empty has seen everything.
 		for _, sh := range s.e.shards {
 			sh.done.Store(true)
+			sh.in.wakeConsumer()
 		}
 
 		workersDone := make(chan struct{})
