@@ -2,8 +2,7 @@
 // (§5). Each benchmark runs the corresponding experiment driver end-to-end
 // on a reproduction-scale environment and reports the headline metrics
 // through testing.B metrics, so `go test -bench=.` both regenerates the
-// artifacts and records their values. The per-experiment index is in
-// DESIGN.md; recorded paper-vs-measured outcomes are in EXPERIMENTS.md.
+// artifacts and records their values.
 package splidt
 
 import (
@@ -236,7 +235,7 @@ func BenchmarkFigure12(b *testing.B) {
 
 // BenchmarkRangeMarkAblation compares range-marking rule counts against the
 // naive per-leaf prefix cross-product — the design choice that avoids rule
-// explosion (DESIGN.md ablation).
+// explosion.
 func BenchmarkRangeMarkAblation(b *testing.B) {
 	flows := trace.Generate(trace.D3, 400, 11)
 	samples := trace.BuildSamples(flows, 2)

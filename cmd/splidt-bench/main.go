@@ -1,6 +1,5 @@
 // Command splidt-bench regenerates the paper's tables and figures. Each
-// experiment prints the same rows/series the paper reports; see DESIGN.md
-// for the per-experiment index and EXPERIMENTS.md for recorded outcomes.
+// experiment prints the same rows/series the paper reports.
 //
 // Usage:
 //

@@ -11,6 +11,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -229,6 +230,55 @@ func TestQuarantineIsolation(t *testing.T) {
 	}
 	if _, err := s2.Close(); err != nil {
 		t.Fatalf("clean session after quarantine: %v", err)
+	}
+}
+
+// TestDigestsSurvivePanickingBurst panics a shard's worker later in a burst
+// in which that shard has already emitted a digest. Workers hand a burst's
+// digests to the session's log only at the burst's end, so the panic fence
+// must flush the ones emitted before the panic: Stats.Digests already
+// counts them, and the stream must carry every digest Stats counts.
+func TestDigestsSurvivePanickingBurst(t *testing.T) {
+	const panicShard = 0
+	cfg := deployCfg(t, eqSlots)
+	e := mustEngine(t, cfg, 2)
+	sh := e.shards[panicShard]
+	var fired atomic.Bool
+	var prePanic []dataplane.Digest // written by the worker before it panics
+	s, err := e.Start(context.Background(), WithTestHooks(&TestHooks{
+		BeforePacket: func(shard int, _ *pkt.Packet) {
+			// The hook runs on the shard's own worker, so reading its
+			// digest scratch here is race-free.
+			if shard != panicShard || len(sh.digests) == 0 || !fired.CompareAndSwap(false, true) {
+				return
+			}
+			prePanic = append([]dataplane.Digest(nil), sh.digests...)
+			panic("injected: panic after a digest in the same burst")
+		},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := trace.Interleave(trace.Generate(trace.D3, eqFlows, eqSeed), eqSpacing)
+	if err := s.FeedAll(pkts); err != nil {
+		t.Fatalf("FeedAll: %v", err)
+	}
+	res, err := s.Close()
+	var spe *ShardPanicError
+	if !errors.As(err, &spe) || spe.Shard != panicShard {
+		t.Fatalf("Close error = %v, want ShardPanicError for shard %d", err, panicShard)
+	}
+	if !fired.Load() || len(prePanic) == 0 {
+		t.Fatal("no burst on the panic shard emitted a digest before a later packet")
+	}
+	if len(res.Digests) != res.Stats.Digests {
+		t.Fatalf("stream carries %d digests, Stats counted %d", len(res.Digests), res.Stats.Digests)
+	}
+	got := digestCounts(res.Digests)
+	for d, n := range digestCounts(prePanic) {
+		if got[d] < n {
+			t.Fatalf("pre-panic digest %+v in the stream %d times, want %d", d, got[d], n)
+		}
 	}
 }
 

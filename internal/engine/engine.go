@@ -15,9 +15,10 @@
 // ring, so the steady-state path allocates nothing and concurrent producers
 // share no lock. Each worker owns one pipeline replica and processes bursts
 // in arrival order, which — with each flow confined to one feeder —
-// preserves per-flow packet order end to end. Digests flow from the workers
-// into an incremental sink stage that merges the per-shard streams while
-// traffic is still moving, so a controller can consume them live
+// preserves per-flow packet order end to end. Each worker collects a
+// burst's digests in a private scratch slice and, at the burst's end,
+// appends them to the session's digest log in one locked step, so a
+// controller can consume them live while traffic is still moving
 // (Session.Digests / Session.Poll) and push ActionBlock verdicts back into
 // the dispatch stage's drop filter (Session.Block) mid-run. Blocking also
 // evicts the flow's register slot via a per-shard eviction mailbox, and
@@ -132,9 +133,6 @@ type Config struct {
 	// Queue is the per-shard queue depth in bursts. It bounds feed-side
 	// runahead: a full queue backpressures Feed. Default 8.
 	Queue int
-	// DigestBuffer is the capacity of the live digest channel a session
-	// exposes through Digests(). Default 256.
-	DigestBuffer int
 	// ShutdownTimeout bounds every session teardown wait — Close/abort
 	// waiting on workers, a feeder flush pushing into a stuck shard, a
 	// Redeploy waiting for adoption. On expiry the wait is abandoned with a
@@ -199,6 +197,11 @@ type shardState struct {
 	evictQ       []flow.Key
 	evictScratch []flow.Key // worker-owned drain buffer, reused
 	evictN       atomic.Int64
+
+	// digests collects the current burst's digests until flushDigests
+	// appends them to the session's log. Worker-private, capacity Burst
+	// (a packet emits at most one digest), so emitting never allocates.
+	digests []dataplane.Digest
 
 	// sweepNow is the worker's monotone packet-time clock: the newest
 	// timestamp it has processed, fed to the pipeline's ageing Sweep after
@@ -324,9 +327,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Queue <= 0 {
 		cfg.Queue = 8
 	}
-	if cfg.DigestBuffer <= 0 {
-		cfg.DigestBuffer = 256
-	}
 	if cfg.ShutdownTimeout <= 0 {
 		cfg.ShutdownTimeout = 5 * time.Second
 	}
@@ -340,8 +340,9 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{cfg: cfg, shards: make([]*shardState, cfg.Shards)}
 	for i, pl := range pls {
 		s := &shardState{
-			pl: pl,
-			in: newMPSCRing(cfg.Queue),
+			pl:      pl,
+			in:      newMPSCRing(cfg.Queue),
+			digests: make([]dataplane.Digest, 0, cfg.Burst),
 		}
 		if cfg.FlightRecorder >= 0 {
 			s.rec = flight.New(cfg.FlightRecorder)
@@ -425,9 +426,10 @@ func (e *Engine) Run(src Source) (*Result, error) {
 
 // work is one shard's consumer loop: pop a burst, apply queued evictions,
 // run the burst through the replica, advance flow-table expiry to the
-// burst's packet time, stream digests to the sink, hand the burst back to its
-// owning feeder's free ring, publish a fresh stats snapshot. Exits when the
-// feed side has signalled done and the queue is drained.
+// burst's packet time, append the burst's digests to the session's log,
+// hand the burst back to its owning feeder's free ring, publish a fresh
+// stats snapshot. Exits when the feed side has signalled done and the
+// queue is drained.
 //
 // filter re-checks close the dispatch race: the feeders already drop
 // blocked flows, but packets queued in the ring before a verdict landed
@@ -504,10 +506,11 @@ func (s *shardState) work(sess *Session, shard int) {
 // processBurst runs one burst through the replica under the quarantine
 // fence: a panic anywhere in the per-packet path (pipeline, flow table,
 // timer wheel, injected fault) is contained to this shard. On panic the
-// fence records the session's cause error, marks the shard quarantined,
-// counts the burst's unprocessed remainder as quarantine drops, and still
-// recycles the burst home so the owning feeder's pool stays whole. Returns
-// whether the burst completed normally.
+// fence flushes the digests the burst emitted before the panic (Stats
+// already counts them), records the session's cause error, marks the
+// shard quarantined, counts the burst's unprocessed remainder as
+// quarantine drops, and still recycles the burst home so the owning
+// feeder's pool stays whole. Returns whether the burst completed normally.
 func (s *shardState) processBurst(sess *Session, shard int, b *burst) (ok bool) {
 	i := 0
 	if s.rec != nil {
@@ -515,6 +518,7 @@ func (s *shardState) processBurst(sess *Session, shard int, b *burst) (ok bool) 
 	}
 	defer func() {
 		if r := recover(); r != nil {
+			s.flushDigests(sess)
 			dropped := int64(len(b.pkts) - i)
 			var pm []flight.Event
 			if s.rec != nil {
@@ -550,11 +554,7 @@ func (s *shardState) processBurst(sess *Session, shard int, b *burst) (ok bool) 
 				hooks.BeforePacket(shard, &b.pkts[i])
 			}
 			if d := s.pl.Process(b.pkts[i]); d != nil {
-				if s.latHist != nil {
-					//splidt:allow wallclock — digest latency is a harness metric measured in wall time by design
-					s.latHist.RecordDur(time.Since(b.fedAt))
-				}
-				sess.sinkCh <- *d
+				s.emit(d, b)
 			}
 		}
 	} else {
@@ -563,14 +563,11 @@ func (s *shardState) processBurst(sess *Session, shard int, b *burst) (ok bool) 
 				hooks.BeforePacket(shard, &b.pkts[i])
 			}
 			if d := s.pl.Process(b.pkts[i]); d != nil {
-				if s.latHist != nil {
-					//splidt:allow wallclock — digest latency is a harness metric measured in wall time by design
-					s.latHist.RecordDur(time.Since(b.fedAt))
-				}
-				sess.sinkCh <- *d
+				s.emit(d, b)
 			}
 		}
 	}
+	s.flushDigests(sess)
 	npkts := len(b.pkts)
 	if npkts > 0 {
 		// Drive flow-table ageing from packet time, never wall clock:
@@ -593,6 +590,16 @@ func (s *shardState) processBurst(sess *Session, shard int, b *burst) (ok bool) 
 		s.rec.Record(flight.KindBurstEnd, s.sweepNow, int64(npkts), int64(s.pub.Load().stats.Digests))
 	}
 	return true
+}
+
+// emit records one digest the burst produced into the worker's scratch,
+// and its feeder-handoff → emission latency when the session measures it.
+func (s *shardState) emit(d *dataplane.Digest, b *burst) {
+	if s.latHist != nil {
+		//splidt:allow wallclock — digest latency is a harness metric measured in wall time by design
+		s.latHist.RecordDur(time.Since(b.fedAt))
+	}
+	s.digests = append(s.digests, *d)
 }
 
 // quarantine is a panicked worker's terminal loop: the replica is frozen

@@ -330,34 +330,18 @@ func (f *Feeder) FeedSource(src Source) error {
 // concurrently with Session.Close (whichever wins flushes; the other
 // no-ops).
 func (f *Feeder) Close() {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return
-	}
-	f.closed = true
-	deadline := time.Now().Add(f.s.e.cfg.ShutdownTimeout)
-	for i, b := range f.cur {
-		if b != nil {
-			if f.s.latHists != nil {
-				b.fedAt = time.Now()
-			}
-			f.pushDeadline(i, b, deadline)
-			f.cur[i] = nil
-		}
-	}
-	f.mu.Unlock()
+	f.closeForShutdown(true, time.Now().Add(f.s.e.cfg.ShutdownTimeout))
 	f.s.feederMu.Lock()
 	delete(f.s.feeders, f)
 	f.s.feederMu.Unlock()
 }
 
-// closeForShutdown is Session shutdown's arm of Close: it seals the feeder
-// and either flushes (graceful Close) or discards (context abort) whatever
-// is staged, bounded by the shutdown deadline. Caller must not hold the
-// feeder's lock. The burst still travels through the in ring even when
-// discarded: the shard worker is the home ring's only producer, and it
-// recycles this burst like any other (a zero-length burst just recycles).
+// closeForShutdown seals the feeder and either flushes (Feeder.Close and
+// graceful Session.Close) or discards (context abort) whatever is staged,
+// bounded by the deadline. Caller must not hold the feeder's lock. The
+// burst still travels through the in ring even when discarded: the shard
+// worker is the home ring's only producer, and it recycles this burst like
+// any other (a zero-length burst just recycles).
 func (f *Feeder) closeForShutdown(flush bool, deadline time.Time) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

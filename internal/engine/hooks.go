@@ -17,8 +17,10 @@ type TestHooks struct {
 	// (shard stall), or mutate the packet in place (clock jump). The packet
 	// pointer is the burst's own slot — mutations are seen by the pipeline.
 	BeforePacket func(shard int, p *pkt.Packet)
-	// SinkDigest runs on the sink goroutine for each digest before it is
-	// recorded (digest-sink stall).
+	// SinkDigest runs on the emitting shard worker for each digest at the
+	// end of its burst, before the burst's digests are appended to the
+	// session's log and outside the log's lock (digest-sink stall: the
+	// stall holds up that worker, and with it that shard's ring).
 	SinkDigest func(d *dataplane.Digest)
 	// PushRefuse runs on the feeder before each attempt to push a burst into
 	// shard's input ring; returning true makes the attempt behave as if the

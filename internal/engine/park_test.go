@@ -122,7 +122,7 @@ func TestFeedAllWakesOnShutdownTimeout(t *testing.T) {
 }
 
 // TestParkedSessionGoroutinesExit: a session whose workers spent their idle
-// time parked leaves no goroutine behind — workers, sink, watchdog, context
+// time parked leaves no goroutine behind — workers, watchdog, context
 // watcher and digest pump all exit by the time Close has returned and the
 // digest channel has drained.
 func TestParkedSessionGoroutinesExit(t *testing.T) {

@@ -86,11 +86,12 @@ type Snapshot struct {
 // via NewFeeder — M feeders push into the shard workers' multi-producer
 // rings with no shared lock on the hot path (Feed/FeedAll/FeedSource are
 // thin wrappers over the default feeder, so one feeder behaves exactly as
-// the session always has). Digests and Poll are alternative drain modes —
-// the first Digests call switches the session to channel delivery; consume
-// through one of them, not both at once, or interleaving order across flows
-// is unspecified (each digest is still delivered exactly once, and
-// Close's Result always carries the complete ordered stream).
+// the session always has). Shard workers append each burst's digests to
+// the session's digest log; Digests and Poll both take from that log
+// through one delivery cursor, so each digest is delivered exactly once
+// through one or the other, even when both drain at once (interleaving
+// order across the two is then unspecified). Close's Result carries the
+// complete ordered stream.
 type Session struct {
 	e     *Engine
 	start time.Time
@@ -126,18 +127,15 @@ type Session struct {
 
 	filter dropFilter
 
-	sinkCh   chan dataplane.Digest // workers → sink (many producers)
-	out      chan dataplane.Digest // sink/pump → consumer (channel mode)
-	sinkDone chan struct{}         // sink exited: all digests recorded
+	out chan dataplane.Digest // pump → consumer (Digests)
 
-	mu          sync.Mutex         // guards all/delivered/sinkClosed
-	cond        *sync.Cond         // pump wakeup, signalled under mu
-	all         []dataplane.Digest // undelivered + (retain mode) delivered digests, in sink-arrival order
-	delivered   int                // all[:delivered] has gone out via Poll/Digests
-	sinkClosed  bool
-	channelMode atomic.Bool
-	pumpOnce    sync.Once
-	bounded     bool // drop digests once delivered (WithBoundedDigests)
+	mu        sync.Mutex         // guards all/delivered/logClosed
+	cond      *sync.Cond         // pump wakeup: workers signal after appending
+	all       []dataplane.Digest // the digest log: undelivered + (retain mode) delivered digests, in append order
+	delivered int                // all[:delivered] has gone out via Poll/Digests
+	logClosed bool               // every worker has exited: all is complete
+	pumpOnce  sync.Once
+	bounded   bool // drop digests once delivered (WithBoundedDigests)
 
 	latency  bool            // record digest latency (WithDigestLatency)
 	latHists []*metrics.Hist // per-shard digest-latency hists; nil when off
@@ -177,12 +175,13 @@ func WithDigestLatency() SessionOption {
 	return func(s *Session) { s.latency = true }
 }
 
-// Start begins a streaming session: one worker goroutine per shard plus a
-// digest sink that merges per-shard digest streams incrementally. At most
-// one session runs per engine at a time. Cancelling ctx aborts the session:
-// staged partial bursts are discarded (already-queued bursts still drain),
-// Feed starts failing, and Close reports the context error. Close alone
-// performs a fully graceful drain.
+// Start begins a streaming session: one worker goroutine per shard, each
+// appending its digests to the session's log at every burst end, plus a
+// health watchdog and a context watcher. At most one session runs per
+// engine at a time. Cancelling ctx aborts the session: staged partial
+// bursts are discarded (already-queued bursts still drain), Feed starts
+// failing, and Close reports the context error. Close alone performs a
+// fully graceful drain.
 func (e *Engine) Start(ctx context.Context, opts ...SessionOption) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -194,9 +193,7 @@ func (e *Engine) Start(ctx context.Context, opts ...SessionOption) (*Session, er
 		e:         e,
 		start:     time.Now(),
 		feeders:   make(map[*Feeder]struct{}),
-		sinkCh:    make(chan dataplane.Digest, e.cfg.DigestBuffer),
-		out:       make(chan dataplane.Digest, e.cfg.DigestBuffer),
-		sinkDone:  make(chan struct{}),
+		out:       make(chan dataplane.Digest, digestBuffer),
 		watchStop: make(chan struct{}),
 	}
 	for _, opt := range opts {
@@ -262,7 +259,6 @@ func (e *Engine) Start(ctx context.Context, opts ...SessionOption) (*Session, er
 	for i, sh := range e.shards {
 		go sh.work(s, i)
 	}
-	go s.sink()
 	go s.watchdog(e.cfg.WatchdogInterval)
 	go func() {
 		select {
@@ -336,42 +332,23 @@ func (s *Session) closedErr() error {
 	return ErrSessionClosed
 }
 
-// Digests returns the live merged digest stream. The first call switches
-// the session to channel delivery: a pump goroutine forwards digests in
-// sink-arrival order (per-flow order preserved) and closes the channel
-// after the session ends and every digest has been delivered. Consumers
-// must drain until close, or use Poll instead.
+// Digests returns the live merged digest stream. The first call starts a
+// pump goroutine that forwards digests from the log in append order
+// (per-flow order preserved) and closes the channel after the session ends
+// and every digest has been delivered. The pump takes digests from the
+// same delivery cursor as Poll, so the two may drain one session together;
+// once Digests has been called, its channel must be drained until close.
 func (s *Session) Digests() <-chan dataplane.Digest {
-	s.pumpOnce.Do(func() {
-		s.channelMode.Store(true)
-		go s.pump()
-	})
+	s.pumpOnce.Do(func() { go s.pump() })
 	return s.out
 }
 
-// Poll drains up to len(buf) pending digests into buf without blocking and
-// returns how many it wrote. After Close it keeps returning the remaining
-// undelivered tail until the stream is empty.
+// Poll drains up to len(buf) undelivered digests from the log into buf
+// without blocking and returns how many it wrote. After Close it keeps
+// returning the remaining undelivered tail until the log is empty.
 func (s *Session) Poll(buf []dataplane.Digest) int {
-	n := 0
-	if s.channelMode.Load() {
-		// Channel mode: the pump owns pending; serve from the channel.
-		for n < len(buf) {
-			select {
-			case d, ok := <-s.out:
-				if !ok {
-					return n
-				}
-				buf[n] = d
-				n++
-			default:
-				return n
-			}
-		}
-		return n
-	}
 	s.mu.Lock()
-	n = copy(buf, s.all[s.delivered:])
+	n := copy(buf, s.all[s.delivered:])
 	s.delivered += n
 	s.compactLocked()
 	s.mu.Unlock()
@@ -539,15 +516,18 @@ func (s *Session) shutdown(flush bool, cause error) {
 		select {
 		case <-workersDone:
 			// All workers exited (quarantined ones drain their rings and
-			// exit too): the sink channel has no more producers, so closing
-			// it and waiting for the sink is safe and prompt.
-			close(s.sinkCh)
-			<-s.sinkDone
+			// exit too): nothing appends to the log any more, so mark it
+			// closed and let the pump close its channel after the tail.
+			s.mu.Lock()
+			s.logClosed = true
+			s.mu.Unlock()
+			s.cond.Broadcast()
 		case <-time.After(time.Until(deadline)):
-			// A worker is stuck. Abandon it: sinkCh must stay open (the
-			// straggler may still send on it if it ever wakes) and the sink
-			// goroutine keeps consuming, so the engine is poisoned — active
-			// stays set and no further session can start.
+			// A worker is stuck. Abandon it: the straggler may still
+			// append to the log if it ever wakes, so the log stays open
+			// (a pump never closes its channel) and the engine is
+			// poisoned — active stays set and no further session can
+			// start.
 			timedOut = true
 			s.recordFault(ErrShutdownTimeout)
 		}
@@ -564,7 +544,7 @@ func (s *Session) shutdown(flush bool, cause error) {
 			}
 			res.Stats.Add(res.PerShard[i])
 		}
-		// Sort a copy: s.all stays in arrival order so Poll/Digests can
+		// Sort a copy: s.all stays in append order so Poll/Digests can
 		// still deliver the undrained tail after Close. In bounded mode
 		// the Result carries exactly the undelivered backlog — s.all may
 		// still hold a delivered-but-uncompacted prefix (the pump compacts
@@ -596,36 +576,36 @@ func (s *Session) shutdown(flush bool, cause error) {
 	})
 }
 
-// sink is the merge stage: it serialises the per-shard digest streams into
-// the session's single arrival-ordered record, which both the live
-// delivery path (Poll/pump, via the delivered cursor) and Close's final
-// Result read — each digest is stored once. It runs until every worker has
-// exited and the channel drained.
-func (s *Session) sink() {
-	for d := range s.sinkCh {
-		if h := s.hooks; h != nil && h.SinkDigest != nil {
-			h.SinkDigest(&d)
-		}
-		s.mu.Lock()
-		s.all = append(s.all, d)
-		s.mu.Unlock()
-		s.cond.Signal()
+// flushDigests is a worker's end-of-burst hand-off: it appends the burst's
+// digests to the session's log in one locked step and wakes the pump. The
+// SinkDigest hook runs first, outside mu, so an injected stall delays only
+// this worker. The scratch is emptied before anything runs, so the panic
+// fence never appends a digest twice.
+func (s *shardState) flushDigests(sess *Session) {
+	ds := s.digests
+	if len(ds) == 0 {
+		return
 	}
-	s.mu.Lock()
-	s.sinkClosed = true
-	s.mu.Unlock()
-	s.cond.Broadcast()
-	close(s.sinkDone)
+	s.digests = ds[:0]
+	if h := sess.hooks; h != nil && h.SinkDigest != nil {
+		for i := range ds {
+			h.SinkDigest(&ds[i])
+		}
+	}
+	sess.mu.Lock()
+	sess.all = append(sess.all, ds...)
+	sess.mu.Unlock()
+	sess.cond.Signal()
 }
 
-// pump forwards undelivered digests to the out channel in order (channel
-// mode only). It keeps delivering after shutdown until the backlog is
+// pump forwards undelivered digests to the out channel in order; Digests
+// starts it. It keeps delivering after shutdown until the backlog is
 // empty, then closes the channel — so a consumer ranging over Digests()
-// sees every digest exactly once.
+// sees, exactly once, every digest that Poll did not take.
 func (s *Session) pump() {
 	for {
 		s.mu.Lock()
-		for s.delivered == len(s.all) && !s.sinkClosed {
+		for s.delivered == len(s.all) && !s.logClosed {
 			s.cond.Wait()
 		}
 		if s.delivered == len(s.all) {
@@ -649,6 +629,9 @@ func (s *Session) pump() {
 // pumpCompactThreshold is how many delivered digests the pump lets
 // accumulate before compacting a bounded session's buffer.
 const pumpCompactThreshold = 256
+
+// digestBuffer is the capacity of the channel Digests returns.
+const digestBuffer = 256
 
 // dropFilter is the dispatch-stage blocklist: a direction-symmetric flow
 // set with an atomic emptiness fast path, so an unblocked workload pays one

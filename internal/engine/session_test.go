@@ -16,7 +16,7 @@ import (
 // TestStreamingMatchesBatch is the redesign's headline property: for the
 // same trace, Start/Feed/Close must produce the same digest multiset and
 // the same merged counters as Engine.Run, at every shard count. Run under
-// -race this also exercises Feed/worker/sink concurrency.
+// -race this also exercises Feed/worker/digest-log concurrency.
 func TestStreamingMatchesBatch(t *testing.T) {
 	cfg := deployCfg(t, eqSlots)
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -667,4 +667,87 @@ func TestSessionBoundedDigestChannel(t *testing.T) {
 			t.Fatalf("Result digest %+v never reached the channel", d)
 		}
 	}
+}
+
+// TestSessionPollAndDigestsShareCursor drains one session through Poll and
+// Digests() at the same time. Both take from one delivery cursor over the
+// session's digest log, so together they must deliver every digest exactly
+// once: their union equals Stats.Digests and the multiset a retain-mode
+// twin run returns. The feed runs in three thirds — Poll alone, both at
+// once, the channel alone — so each path is sure to take a share.
+func TestSessionPollAndDigestsShareCursor(t *testing.T) {
+	cfg := deployCfg(t, eqSlots)
+	pkts := trace.Interleave(trace.Generate(trace.D3, eqFlows, eqSeed), eqSpacing)
+	want, err := mustEngine(t, cfg, 4).Run(&SliceSource{Pkts: pkts})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := mustEngine(t, cfg, 4).Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	third := len(pkts) / 3
+	buf := make([]dataplane.Digest, 16)
+	var polled []dataplane.Digest
+	if err := s.FeedAll(pkts[:third]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		n := s.Poll(buf)
+		polled = append(polled, buf[:n]...)
+		return len(polled) > 0
+	})
+
+	var viaChan []dataplane.Digest
+	chanDone := make(chan struct{})
+	go func() {
+		defer close(chanDone)
+		for d := range s.Digests() {
+			viaChan = append(viaChan, d)
+		}
+	}()
+	stopPoll, pollDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(pollDone)
+		for {
+			select {
+			case <-stopPoll:
+				return
+			default:
+			}
+			n := s.Poll(buf)
+			polled = append(polled, buf[:n]...)
+			if n == 0 {
+				time.Sleep(10 * time.Microsecond)
+			}
+		}
+	}()
+	if err := s.FeedAll(pkts[third : 2*third]); err != nil {
+		t.Fatal(err)
+	}
+	close(stopPoll)
+	<-pollDone
+
+	if err := s.FeedAll(pkts[2*third:]); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-chanDone
+	if n := s.Poll(buf); n != 0 {
+		t.Fatalf("Poll returned %d digests after the channel closed", n)
+	}
+	if len(viaChan) == 0 {
+		t.Fatal("channel delivered nothing")
+	}
+	union := append(polled, viaChan...)
+	if len(union) != res.Stats.Digests {
+		t.Fatalf("Poll %d + channel %d = %d digests, Stats counted %d",
+			len(polled), len(viaChan), len(union), res.Stats.Digests)
+	}
+	mustMatchMultiset(t, "poll+channel", union, want.Digests)
+	mustMatchMultiset(t, "result", res.Digests, want.Digests)
 }

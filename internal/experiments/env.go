@@ -1,8 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5). Each artifact has one driver returning a structured
-// result plus a text rendering in the paper's row/series format; the
-// per-experiment index lives in DESIGN.md and the recorded outcomes in
-// EXPERIMENTS.md.
+// result plus a text rendering in the paper's row/series format.
 package experiments
 
 import (

@@ -39,8 +39,9 @@ const (
 	// shard's input ring starting at push ordinal At, forcing the feeder
 	// through its backpressure path as if the ring were full.
 	RingOverflow
-	// SinkStall blocks the digest sink for Stall at digest ordinal At,
-	// backing the merged digest stream up into the workers.
+	// SinkStall blocks the shard worker that emits digest ordinal At for
+	// Stall, before it appends that burst's digests to the session's log —
+	// backing that shard's ring up behind the stalled hand-off.
 	SinkStall
 	// ClockJump adds Jump to every packet timestamp on the shard from
 	// packet ordinal At onward — a step in the packet clock, the kind of
@@ -81,7 +82,7 @@ type Fault struct {
 	// At is the zero-based ordinal that triggers the fault, counted in the
 	// domain the kind observes: packets the shard's worker has seen
 	// (WorkerPanic, ShardStall, ClockJump), push attempts into the shard's
-	// ring (RingOverflow), or digests sunk (SinkStall).
+	// ring (RingOverflow), or digests emitted across all shards (SinkStall).
 	At uint64
 
 	Stall time.Duration // ShardStall, SinkStall: how long to block
@@ -108,9 +109,10 @@ func (f Fault) String() string {
 }
 
 // Plan is an armed fault schedule. Its three hook methods are safe for the
-// engine's concurrency (one worker per shard, one sink, many feeders) and
-// carry no locks — per-shard ordinals are atomics advanced by their single
-// observer, so injection points cost one atomic add when the plan is quiet.
+// engine's concurrency (one worker per shard, many feeders) and carry no
+// locks — every ordinal is an atomic (the digest ordinal is shared by all
+// workers), so injection points cost one atomic add when the plan is
+// quiet.
 type Plan struct {
 	faults []Fault
 
@@ -232,8 +234,9 @@ func (p *Plan) BeforePacket(shard int, pk *pkt.Packet) {
 	}
 }
 
-// SinkDigest is the engine's digest-sink hook: it advances the digest
-// ordinal and fires any SinkStall due at it.
+// SinkDigest is the engine's digest-sink hook, run by whichever shard
+// worker emitted the digest: it advances the session-wide digest ordinal
+// and fires any SinkStall due at it.
 func (p *Plan) SinkDigest(d *dataplane.Digest) {
 	n := p.digests.Add(1) - 1
 	for i := range p.faults {

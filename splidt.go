@@ -20,7 +20,7 @@
 //     depth, k, and partitioning, returning the (F1, #flows) Pareto
 //     frontier.
 //   - Execution at scale: NewEngine builds a sharded multi-worker engine —
-//     N pipeline replicas fed by a flow-hash dispatcher over bounded SPSC
+//     N pipeline replicas fed by a flow-hash dispatcher over bounded MPSC
 //     burst queues — that runs one deployment across every core while
 //     preserving single-pipeline digest semantics. NewStream provides the
 //     lazy line-rate workload source that feeds it, and EngineResult
@@ -28,7 +28,8 @@
 //   - Streaming sessions: Engine.Start opens a long-lived EngineSession.
 //     Feed pushes packet batches without ever blocking (backpressure is
 //     surfaced as ErrBackpressure plus a counter, never a silent stall),
-//     Digests/Poll drain the incrementally merged digest stream while
+//     shard workers append each burst's digests to the session's digest
+//     log, Digests/Poll drain that log through one delivery cursor while
 //     traffic is still flowing, Snapshot reads live merged stats, Block
 //     installs mid-run drop verdicts, and Close drains gracefully into a
 //     deterministic final EngineResult. Engine.Run is a thin batch wrapper
